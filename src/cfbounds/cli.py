@@ -337,6 +337,13 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     if args.command in ("verify", "report") and args.bound in _K_BOUNDS and args.k is None:
         parser.error(f"--bound {args.bound} requires --k")
+    if args.command == "classify-equality" or getattr(args, "bound", None) in _K_BOUNDS:
+        if args.k < 1:
+            parser.error("--k must be >= 1")
+    if getattr(args, "n", 0) < 0:
+        parser.error("--n must be >= 0")
+    if getattr(args, "depth", 1) < 1:
+        parser.error("--depth must be >= 1")
     try:
         rows, ok = _HANDLERS[args.command](args)
     except SpecParseError as exc:

@@ -6,20 +6,23 @@ three value types:
 * rationals -- ``fractions.Fraction`` (arbitrary precision, lowest terms);
 * :class:`QuadSurd` -- (a + b*sqrt(d))/c with d squarefree, the field Q(sqrt(d));
 * :class:`RadicalSum` -- a rational plus finitely many rational multiples of
-  square roots of distinct non-square integers.
+  square roots of distinct non-square integers, held as integer numerators
+  over one shared positive denominator.
 
-The sign of a RadicalSum is decided by adaptive-precision directed
-rounding (doubling the working precision up to a cap) with an exact
-recursive-squaring procedure as a fallback.  Because square roots of
-distinct squarefree integers are linearly independent over Q, a
-canonicalized RadicalSum is zero exactly when it is structurally zero,
-so the adaptive path terminates on every nonzero value.
+The sign of a RadicalSum is decided by integer directed rounding: with the
+value scaled by its denominator and by 2^bits, every radical term is
+rounded outward to neighbouring integers with ``isqrt``, and the working
+precision doubles up to a cap, with an exact recursive-squaring procedure
+as a fallback.  Because square roots of distinct squarefree integers are
+linearly independent over Q, a canonicalized RadicalSum is zero exactly
+when it is structurally zero, so the adaptive path terminates on every
+nonzero value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
 __all__ = [
@@ -28,9 +31,6 @@ __all__ = [
     "MixedFieldError",
     "UnsupportedExpressionError",
     "radical_sign",
-    "surd_normalize",
-    "surd_floor",
-    "surd_arith",
     "square_free_split",
     "PRECISION_START_BITS",
     "PRECISION_CAP_BITS",
@@ -108,141 +108,224 @@ def _sgn(x: Fraction | int) -> int:
     return (x > 0) - (x < 0)
 
 
+def _rational(x: Rational) -> Rational:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 # ---------------------------------------------------------------------------
 # RadicalSum
 
 
-@dataclass(frozen=True, eq=True)
 class RadicalSum:
-    """c0 + sum of coef*sqrt(radicand) with distinct canonical radicands.
+    """(c + sum of n*sqrt(r)) / den with distinct canonical radicands r > 1.
 
-    Terms are normalized on construction: square parts of radicands are
-    folded into coefficients, like radicands are combined, zero terms are
-    dropped, and terms are sorted by radicand.  Two RadicalSums built from
-    in-scope values are equal as reals iff they are equal as dataclasses.
+    The value is held as integers over one positive denominator: a constant
+    numerator, a tuple of (radicand, numerator) pairs sorted by radicand, and
+    ``den``, with gcd(den, every numerator) = 1.  The public constructor
+    takes rationals, folds square parts of radicands into the coefficients
+    and combines like radicands; arithmetic on canonical operands builds its
+    result through :meth:`_make`, which only merges equal radicands, drops
+    zero terms and divides out the gcd.  Two RadicalSums built from
+    in-scope values are equal as reals iff they are equal as objects.
+    Instances are immutable and hashable.
     """
 
-    c0: Fraction
-    terms: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("_c", "_t", "den")
 
     def __init__(self, c0: Rational = 0, terms: Iterable[tuple[Rational, int]] = ()):
-        acc: dict[int, Fraction] = {}
-        const = Fraction(c0)
+        c0 = _rational(c0)
+        den = c0.denominator
+        split = []
         for coef, rad in terms:
-            coef = Fraction(coef)
+            coef = _rational(coef)
             if coef == 0:
                 continue
             s, k = square_free_split(rad)
+            split.append((k, coef.numerator * s, coef.denominator))
+            den = lcm(den, coef.denominator)
+        const = c0.numerator * (den // c0.denominator)
+        pairs = []
+        for k, n, d in split:
+            n *= den // d
             if k == 1:
-                const += coef * s
+                const += n
             else:
-                acc[k] = acc.get(k, Fraction(0)) + coef * s
-        cleaned = tuple(sorted((c, r) for r, c in acc.items() if c != 0))
-        object.__setattr__(self, "c0", const)
-        object.__setattr__(self, "terms", tuple((c, r) for c, r in cleaned))
+                pairs.append((k, n))
+        self._assign(const, pairs, den)
 
-    # -- construction helpers
+    @classmethod
+    def _make(cls, const: int, pairs: Iterable[tuple[int, int]], den: int) -> "RadicalSum":
+        """Trusted constructor: canonical radicands > 1 and den > 0."""
+        obj = object.__new__(cls)
+        obj._assign(const, pairs, den)
+        return obj
+
+    def _assign(self, const: int, pairs: Iterable[tuple[int, int]], den: int) -> None:
+        acc: dict[int, int] = {}
+        for r, n in pairs:
+            acc[r] = acc.get(r, 0) + n
+        terms = tuple(sorted((r, n) for r, n in acc.items() if n))
+        g = gcd(den, const, *[n for _, n in terms])
+        if g != 1:
+            const //= g
+            terms = tuple((r, n // g) for r, n in terms)
+            den //= g
+        object.__setattr__(self, "_c", const)
+        object.__setattr__(self, "_t", terms)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RadicalSum is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RadicalSum is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slots through __setattr__
+        return RadicalSum, (self.c0, self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, RadicalSum):
+            return NotImplemented
+        return self._c == other._c and self.den == other.den and self._t == other._t
+
+    def __hash__(self) -> int:
+        return hash((self._c, self._t, self.den))
+
+    # -- construction helpers and views
 
     @classmethod
     def sqrt(cls, n: int, coef: Rational = 1) -> "RadicalSum":
         return cls(0, [(coef, n)])
 
     @property
+    def c0(self) -> Fraction:
+        return Fraction(self._c, self.den)
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, int], ...]:
+        """(coefficient, radicand) pairs, sorted by radicand."""
+        return tuple((Fraction(n, self.den), r) for r, n in self._t)
+
+    @property
     def is_rational(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def as_fraction(self) -> Fraction:
-        if self.terms:
+        if self._t:
             raise ValueError("value is irrational")
         return self.c0
 
     # -- ring operations
 
-    def __add__(self, other: "RadicalSum | Rational") -> "RadicalSum":
+    def _scale(self, num: int, den: int) -> "RadicalSum":
+        """self * num/den, for den != 0."""
+        if den < 0:
+            num, den = -num, -den
+        return RadicalSum._make(self._c * num, [(r, n * num) for r, n in self._t], self.den * den)
+
+    def _add(self, other: "RadicalSum | Rational", sign: int) -> "RadicalSum":
         if isinstance(other, RadicalSum):
-            return RadicalSum(self.c0 + other.c0, self.terms + other.terms)
-        return RadicalSum(self.c0 + Fraction(other), self.terms)
+            c, t, d = other._c, other._t, other.den
+        else:
+            other = _rational(other)
+            c, t, d = other.numerator, (), other.denominator
+        den = lcm(self.den, d)
+        u, v = den // self.den, sign * (den // d)
+        pairs = [(r, n * u) for r, n in self._t]
+        pairs += [(r, n * v) for r, n in t]
+        return RadicalSum._make(self._c * u + c * v, pairs, den)
+
+    def __add__(self, other: "RadicalSum | Rational") -> "RadicalSum":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalSum":
-        return RadicalSum(-self.c0, [(-c, r) for c, r in self.terms])
+        return RadicalSum._make(-self._c, [(r, -n) for r, n in self._t], self.den)
 
     def __sub__(self, other: "RadicalSum | Rational") -> "RadicalSum":
-        return self + (-other if isinstance(other, RadicalSum) else -Fraction(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other: Rational) -> "RadicalSum":
-        return (-self) + Fraction(other)
+        return (-self)._add(other, 1)
 
     def __mul__(self, other: "RadicalSum | Rational") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
-            f = Fraction(other)
-            return RadicalSum(self.c0 * f, [(c * f, r) for c, r in self.terms])
-        new_terms: list[tuple[Fraction, int]] = []
-        new_terms.extend((c * other.c0, r) for c, r in self.terms)
-        new_terms.extend((c * self.c0, r) for c, r in other.terms)
-        const = self.c0 * other.c0
-        for c1, r1 in self.terms:
-            for c2, r2 in other.terms:
+            f = _rational(other)
+            return self._scale(f.numerator, f.denominator)
+        c1, c2 = self._c, other._c
+        const = c1 * c2
+        pairs = [(r, n * c2) for r, n in self._t]
+        pairs += [(r, n * c1) for r, n in other._t]
+        for r1, n1 in self._t:
+            for r2, n2 in other._t:
                 g = gcd(r1, r2)
-                rad = (r1 // g) * (r2 // g)
-                if rad == 1:
-                    const += c1 * c2 * g
+                s, k = square_free_split((r1 // g) * (r2 // g))
+                n = n1 * n2 * g * s
+                if k == 1:
+                    const += n
                 else:
-                    new_terms.append((c1 * c2 * g, rad))
-        return RadicalSum(const, new_terms)
+                    pairs.append((k, n))
+        return RadicalSum._make(const, pairs, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "RadicalSum | Rational") -> "RadicalSum":
         if isinstance(other, RadicalSum):
             return self * other.inverse()
-        f = Fraction(other)
-        return RadicalSum(self.c0 / f, [(c / f, r) for c, r in self.terms])
+        f = _rational(other)
+        if f == 0:
+            raise ZeroDivisionError("division by zero")
+        return self._scale(f.denominator, f.numerator)
 
     def __rtruediv__(self, other: Rational) -> "RadicalSum":
-        return self.inverse() * Fraction(other)
+        return self.inverse() * other
 
     def inverse(self) -> "RadicalSum":
         """Exact reciprocal, by clearing one radical prime at a time."""
-        num = RadicalSum(1)
+        num = RadicalSum._make(1, (), 1)
         den = self
         guard = 0
-        while den.terms:
+        while den._t:
             guard += 1
             if guard > 64:
                 raise UnsupportedExpressionError("cannot rationalize denominator")
-            p = _pick_split_prime(den.terms)
-            conj = RadicalSum(
-                den.c0, [(-c if r % p == 0 else c, r) for c, r in den.terms]
+            p = _pick_split_prime([r for r, _ in den._t])
+            # the conjugate scaled by den.den; the scale cancels in num/den
+            conj = RadicalSum._make(
+                den._c, [(r, -n if r % p == 0 else n) for r, n in den._t], 1
             )
             num *= conj
             den *= conj
-        if den.c0 == 0:
+        if den._c == 0:
             raise ZeroDivisionError("division by zero RadicalSum")
-        return num / den.c0
+        return num._scale(den.den, den._c)
 
     # -- sign machinery
 
-    def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Enclosing interval with sqrt endpoints rounded at ``bits`` bits."""
-        lo = hi = self.c0
-        den = 1 << bits
-        for c, r in self.terms:
-            s = isqrt(r << (2 * bits))
-            s_lo, s_hi = Fraction(s, den), Fraction(s + 1, den)
-            if c > 0:
-                lo += c * s_lo
-                hi += c * s_hi
+    def interval(self, bits: int) -> tuple[int, int]:
+        """Integers lo <= value*den*2^bits <= hi.
+
+        Each term n*sqrt(r) is rounded outward to the integers around
+        isqrt(n^2 * r * 4^bits), so the error is below one unit per term.
+        """
+        lo = hi = self._c << bits
+        shift = 2 * bits
+        for r, n in self._t:
+            s = isqrt(n * n * r << shift)
+            if n > 0:
+                lo += s
+                hi += s + 1
             else:
-                lo += c * s_hi
-                hi += c * s_lo
+                lo -= s + 1
+                hi -= s
         return lo, hi
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        if not self.terms:
-            return _sgn(self.c0)
+        if not self._t:
+            return _sgn(self._c)
         bits = PRECISION_START_BITS
         while bits <= PRECISION_CAP_BITS:
             lo, hi = self.interval(bits)
@@ -256,13 +339,19 @@ class RadicalSum:
     def _sign_exact(self) -> int:
         """Recursive-squaring sign: isolate the radicals sharing one prime,
         square, and recurse on values with strictly fewer radical primes."""
-        if not self.terms:
-            return _sgn(self.c0)
-        p = _pick_split_prime(self.terms)
-        with_p = [(c, r) for c, r in self.terms if r % p == 0]
-        rest = [(c, r) for c, r in self.terms if r % p != 0]
-        x = RadicalSum(self.c0, rest)
-        w = RadicalSum(0, [(c, r // p) for c, r in with_p])  # self = x + sqrt(p)*w
+        if not self._t:
+            return _sgn(self._c)
+        p = _pick_split_prime([r for r, _ in self._t])
+        x = RadicalSum._make(self._c, [(r, n) for r, n in self._t if r % p], self.den)
+        const, pairs = 0, []
+        for r, n in self._t:
+            if r % p == 0:
+                s, k = square_free_split(r // p)
+                if k == 1:
+                    const += n * s
+                else:
+                    pairs.append((k, n * s))
+        w = RadicalSum._make(const, pairs, self.den)  # self = x + sqrt(p)*w
         sx = x.sign()
         sw = w.sign()
         if sx == 0:
@@ -283,28 +372,28 @@ class RadicalSum:
         sgn = self.sign()
         if sgn == 0:
             return "0"
-        if not self.terms:
-            return _decimal_of_fraction(self.c0, significant)
+        if not self._t:
+            return _decimal_of_ratio(self._c, self.den, significant)
         bits = 256
         while True:
             lo, hi = self.interval(bits)
             if _sgn(lo) == _sgn(hi) == sgn:
-                a = _decimal_of_fraction(lo, significant)
-                b = _decimal_of_fraction(hi, significant)
-                if a == b:
+                scale = self.den << bits
+                a = _decimal_of_ratio(lo, scale, significant)
+                if a == _decimal_of_ratio(hi, scale, significant):
                     return a
             if bits > (1 << 20):  # pragma: no cover - defensive
                 raise UnsupportedExpressionError("decimal rendering did not settle")
             bits *= 2
 
     def __repr__(self) -> str:
-        parts = [str(self.c0)] if self.c0 or not self.terms else []
+        parts = [str(self.c0)] if self._c or not self._t else []
         parts.extend(f"{c}*sqrt({r})" for c, r in self.terms)
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _pick_split_prime(terms: Iterable[tuple[Fraction, int]]) -> int:
-    rads = sorted(r for _, r in terms)
+def _pick_split_prime(rads: list[int]) -> int:
+    """A prime dividing one of the sorted radicands ``rads``."""
     for r in rads:
         for p in _SMALL_PRIMES:
             if p * p > r:
@@ -316,40 +405,38 @@ def _pick_split_prime(terms: Iterable[tuple[Fraction, int]]) -> int:
     return rads[0]
 
 
-def _decimal_of_fraction(x: Fraction, significant: int) -> str:
-    if x == 0:
+def _decimal_of_ratio(n: int, d: int, significant: int) -> str:
+    """n/d (d > 0) rounded half to even to ``significant`` digits."""
+    if n == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    n, d = abs(x.numerator), x.denominator
-    # exponent e with 10^e <= n/d < 10^(e+1)
-    e = len(str(n)) - len(str(d))
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    # exponent e with 10^e <= n/d < 10^(e+1), from a bit-length estimate
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
     while n * 10 ** max(0, -e) < d * 10 ** max(0, e):
         e -= 1
     while n * 10 ** max(0, -(e + 1)) >= d * 10 ** max(0, e + 1):
         e += 1
     shift = significant - 1 - e
-    scaled = Fraction(n, d) * Fraction(10) ** shift
-    digits = _round_half_even(scaled)
-    if len(str(digits)) > significant:  # rounding rolled over, e.g. 999->1000
+    if shift >= 0:
+        n *= 10**shift
+    else:
+        d *= 10**-shift
+    digits, rem = divmod(n, d)
+    if 2 * rem > d or (2 * rem == d and digits & 1):
+        digits += 1
+    if digits == 10**significant:  # rounding rolled over, e.g. 999->1000
         digits //= 10
         e += 1
     ds = str(digits)
     return f"{sign}{ds[0]}.{ds[1:]}e{e:+03d}"
 
 
-def _round_half_even(x: Fraction) -> int:
-    floor = x.numerator // x.denominator
-    frac2 = 2 * (x - floor)
-    if frac2 > 1 or (frac2 == 1 and floor % 2 == 1):
-        return floor + 1
-    return floor
-
-
 def radical_sign(s: RadicalSum) -> int:
     """Sign of a RadicalSum with at most 4 radical terms (public contract)."""
-    if len(s.terms) > 4:
+    if len(s._t) > 4:
         raise UnsupportedExpressionError(
-            f"sign supported for at most 4 radical terms, got {len(s.terms)}"
+            f"sign supported for at most 4 radical terms, got {len(s._t)}"
         )
     return s.sign()
 
@@ -407,7 +494,7 @@ class QuadSurd:
         return Fraction(self.a, self.c)
 
     def to_radical(self) -> RadicalSum:
-        return RadicalSum(Fraction(self.a, self.c), [(Fraction(self.b, self.c), self.d)])
+        return RadicalSum._make(self.a, [(self.d, self.b)] if self.b else (), self.c)
 
     def conjugate(self) -> "QuadSurd":
         return QuadSurd.make(self.a, -self.b, self.c, self.d)
@@ -521,29 +608,3 @@ class QuadSurd:
         if self.b == 0:
             return f"{self.a}/{self.c}" if self.c != 1 else str(self.a)
         return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"
-
-
-# ---------------------------------------------------------------------------
-# spec-named operation wrappers
-
-
-def surd_normalize(a: int, b: int, c: int, d: int) -> QuadSurd:
-    """Canonical (a + b*sqrt(d))/c; rejects c = 0 and d < 1."""
-    return QuadSurd.make(a, b, c, d)
-
-
-def surd_floor(x: QuadSurd) -> int:
-    return x.floor()
-
-
-def surd_arith(x: QuadSurd, y: QuadSurd, op: str) -> QuadSurd:
-    """Field arithmetic dispatcher; op in {add, sub, mul, div}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")

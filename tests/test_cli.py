@@ -136,3 +136,17 @@ def test_exit_2_on_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # out-of-range counts are usage errors, not malformed specs (exit 3)
+    for argv in (
+        ["verify", "rat:1/2", "--bound", "dirichlet", "--n", "-1"],
+        ["convergents", "rat:1/2", "--n", "-1"],
+        ["classical", "surd:(1+1*sqrt(5))/2", "--rule", "borel_triples", "--n", "-1"],
+        ["lemmas", "--k-range", "1..2", "--depth", "0"],
+        ["verify", "rat:1/2", "--bound", "nathanson", "--k", "0", "--n", "3"],
+        ["verify", "rat:1/2", "--bound", "refined_f", "--k", "0", "--n", "3"],
+        ["report", "--corpus", "unused.txt", "--bound", "refined_f", "--k", "0", "--n", "3"],
+        ["classify-equality", "surd:(0+1*sqrt(2))/1", "--k", "0", "--n", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

@@ -1,4 +1,6 @@
 """Unit tests for the exact-arithmetic layer."""
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfbounds.bounds import BoundSpec
 from cfbounds.exact import (
     MixedFieldError,
     QuadSurd,
@@ -15,6 +18,7 @@ from cfbounds.exact import (
     radical_sign,
     square_free_split,
 )
+from cfbounds.verify import verify_bound_scan
 from conftest import make_random_surd
 
 mpmath.mp.dps = 200
@@ -116,6 +120,108 @@ def test_radical_sign_matches_oracle(c0, terms):
         assert r.sign() == 0
     else:
         assert r.sign() == (1 if approx > 0 else -1)
+
+
+@settings(max_examples=100)
+@given(
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+            st.integers(min_value=2, max_value=500),
+        ),
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=300),
+)
+def test_interval_encloses_scaled_value(c0, terms, bits):
+    r = RadicalSum(c0, terms)
+    lo, hi = r.interval(bits)
+    # value * den * 2^bits from its exact integer parts; only the square roots round
+    scale = r.den << bits
+    with mpmath.workdps(250):
+        scaled = int(r.c0 * scale) + sum(
+            int(c * scale) * mpmath.sqrt(rad) for c, rad in r.terms
+        )
+        assert lo <= scaled <= hi
+    assert hi - lo <= len(r.terms)
+
+
+def test_radical_sum_is_immutable():
+    r = RadicalSum(1, [(2, 3)])
+    for name in ("c0", "terms", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    with pytest.raises(AttributeError):
+        del r.den
+    assert r == RadicalSum(1, [(2, 3)])
+    assert copy.deepcopy(r) == r and pickle.loads(pickle.dumps(r)) == r
+
+
+def test_equal_values_share_one_dict_key():
+    a = RadicalSum(Fraction(1, 2), [(1, 8)])  # 1/2 + 2 sqrt 2
+    b = RadicalSum(0, [(2, 2)]) + Fraction(1, 2)
+    table = {a: "first"}
+    table[b] = "second"
+    assert a == b and hash(a) == hash(b)
+    assert table == {a: "second"}
+    assert RadicalSum(0, [(1, 8), (-2, 2)]) in {RadicalSum(0): None}
+
+
+def _mp_decimal(v: mpmath.mpf, significant: int) -> str:
+    """Correctly rounded d.dd...e<exp> of an irrational v evaluated at high precision."""
+    sign = "-" if v < 0 else ""
+    a = abs(v)
+    e = int(mpmath.floor(mpmath.log10(a)))
+    if a < mpmath.mpf(10) ** e:
+        e -= 1
+    elif a >= mpmath.mpf(10) ** (e + 1):
+        e += 1
+    digits = int(mpmath.nint(a * mpmath.mpf(10) ** (significant - 1 - e)))
+    if digits == 10**significant:
+        digits //= 10
+        e += 1
+    ds = str(digits)
+    return f"{sign}{ds[0]}.{ds[1:]}e{e:+03d}"
+
+
+def test_deep_cancellation_margins_match_oracle():
+    # refined_f margins at large depth: terms near 1 cancel down to about
+    # 1/q_n^4, far below the precision at which each term is rounded
+    x = QuadSurd.make(3, 2, 5, 7)
+    records = verify_bound_scan(x, BoundSpec("refined_f", 2), 600)
+    for n in (100, 300, 600):
+        margin = records[n].margin
+        with mpmath.workdps(4 * len(str(records[n].q)) + 60):
+            v = _as_mp(margin)
+            assert abs(v) > mpmath.mpf(10) ** (-mpmath.mp.dps + 40)
+            assert margin.sign() == (1 if v > 0 else -1)
+            assert margin.decimal(50) == _mp_decimal(v, 50)
+
+
+_huge_fraction = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**2000), max_value=2**2000),
+    st.integers(min_value=1, max_value=2**2000),
+)
+_radical_sums = st.builds(
+    RadicalSum,
+    _huge_fraction,
+    st.lists(st.tuples(_huge_fraction, st.integers(min_value=2, max_value=30)), max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_radical_sums, _radical_sums)
+def test_structural_identities_with_huge_denominators(x, y):
+    assert (x + y) - y == x
+    assert x * y == y * x
+    assert hash(x * y) == hash(y * x)
+    assert -(-x) == x
+    assert RadicalSum(x.c0, x.terms) == x
+    assert hash(RadicalSum(x.c0, x.terms)) == hash(x)
+    if x != RadicalSum(0):
+        assert x * x.inverse() == RadicalSum(1)
 
 
 # ---------------------------------------------------------------------------
