@@ -6,8 +6,7 @@ Everything is computed in exact arithmetic: rationals as
 square roots via :class:`~cfbounds.exact.RadicalSum`, whose sign is
 decided with certified integer interval arithmetic (never floats).
 """
-from ._backend import BACKEND
-from .bounds import BOUND_KINDS, BoundSpec, Outcome, bound_rhs, default_strictness, f_value
+from .bounds import BOUND_KINDS, BoundSpec, Outcome, bound_rhs, f_value
 from .cf import (
     CFExpansion,
     Convergent,
@@ -48,6 +47,9 @@ from .verify import (
 
 __version__ = "1.0.0"
 
+# the continued-fraction engine is pure Python; benchmark provenance records this
+BACKEND = "python"
+
 __all__ = [
     "BACKEND",
     "BOUND_KINDS",
@@ -74,7 +76,6 @@ __all__ = [
     "classify_equality",
     "closed_form_pq",
     "convergents",
-    "default_strictness",
     "equivalent",
     "error_identity",
     "expand_rational",

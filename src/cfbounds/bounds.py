@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import RadicalSum, radical_sign
+from .exact import RadicalSum
 
 __all__ = [
     "BOUND_KINDS",
@@ -32,10 +32,6 @@ __all__ = [
     "Outcome",
     "bound_rhs",
     "f_value",
-    "satisfies",
-    "default_strictness",
-    "outcome_holds",
-    "monotone_refinement_check",
 ]
 
 BOUND_KINDS = (
@@ -105,39 +101,3 @@ def bound_rhs(spec: BoundSpec, q: int) -> RadicalSum:
     # hancl_nair: q^2 * (sqrt5 + (4 - 5 sqrt5 + sqrt61)/(2 q^2)) doubled
     den = RadicalSum(4, [(2 * q * q - 5, 5), (1, 61)])
     return den.inverse() * 2
-
-
-def default_strictness(kind: str) -> str:
-    """refined_f is a "<=" bound; every classical bound is strict."""
-    return "non_strict" if kind == "refined_f" else "strict"
-
-
-def satisfies(
-    err: RadicalSum, spec: BoundSpec, q: int, strictness: str | None = None
-) -> Outcome:
-    """Exact trichotomy of err against the bound's right-hand side."""
-    if strictness not in (None, "strict", "non_strict"):
-        raise ValueError(f"unknown strictness {strictness!r}")
-    s = radical_sign(err - bound_rhs(spec, q))
-    if s < 0:
-        return Outcome.HOLDS_STRICT
-    if s == 0:
-        return Outcome.HOLDS_EQUAL
-    return Outcome.FAILS
-
-
-def outcome_holds(outcome: Outcome, strictness: str) -> bool:
-    if outcome is Outcome.HOLDS_STRICT:
-        return True
-    return outcome is Outcome.HOLDS_EQUAL and strictness == "non_strict"
-
-
-def monotone_refinement_check(k: int, q: int) -> bool:
-    """Exactly checks q^2 sqrt(k^2+4) < f(q) < q^2 sqrt(k^2+4) + 1/sqrt(k^2+4)."""
-    if k < 1 or q < 1:
-        raise ValueError("k and q must be >= 1")
-    d = k * k + 4
-    f = f_value(k, q)
-    lower = RadicalSum(0, [(q * q, d)])
-    upper = lower + RadicalSum(0, [(Fraction(1, d), d)])
-    return radical_sign(f - lower) > 0 and radical_sign(upper - f) > 0

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
-from . import _backend as backend
 from .exact import QuadSurd, RadicalSum
 
 __all__ = [
@@ -119,7 +119,12 @@ class Convergent:
 def expand_rational(x: Union[Fraction, int]) -> CFExpansion:
     """Finite expansion of a rational; last digit != 1 when length >= 2."""
     f = Fraction(x)
-    digits = backend.rational_cf_digits(f.numerator, f.denominator)
+    num, den = f.numerator, f.denominator
+    digits = []
+    while den:
+        a = num // den
+        digits.append(a)
+        num, den = den, num - a * den
     if len(digits) > 1 and digits[-1] == 1:
         digits.pop()
         digits[-1] += 1
@@ -144,13 +149,19 @@ def expand_surd(x: QuadSurd) -> CFExpansion:
     a0 = x.floor()
     x1 = 1 / (x - a0)
     p, q, d = _to_pqd(x1)
-    stream, cycle_start = backend.periodic_cf_digits(p, q, d)
-    head = list(stream[:cycle_start])
-    period = list(stream[cycle_start:])
-    while head and head[-1] == period[-1]:
-        period = [period[-1]] + period[:-1]
-        head.pop()
-    return CFExpansion(a0, tuple(head), tuple(period))
+    # (p, q) determines the tail (p + sqrt(d))/q, so the first repeated
+    # state starts the minimal period after the shortest head
+    s = isqrt(d)
+    seen: dict[tuple[int, int], int] = {}
+    digits: list[int] = []
+    while (p, q) not in seen:
+        seen[(p, q)] = len(digits)
+        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+        digits.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    start = seen[(p, q)]
+    return CFExpansion(a0, tuple(digits[:start]), tuple(digits[start:]))
 
 
 def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
@@ -159,8 +170,13 @@ def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
         raise ValueError("n must be >= 0")
     if cf.is_finite and n >= len(cf):
         raise ValueError(f"expansion has only {len(cf)} digits")
-    pairs = backend.convergent_pairs(cf.digits(n + 1), n + 1)
-    return [Convergent(i, p, q) for i, (p, q) in enumerate(pairs)]
+    out = []
+    p, p_prev, q, q_prev = 1, 0, 0, 1  # p_{-1}, p_{-2}, q_{-1}, q_{-2}
+    for i, a in enumerate(cf.digits(n + 1)):
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        out.append(Convergent(i, p, q))
+    return out
 
 
 def _purely_periodic_value(digits: tuple[int, ...]) -> QuadSurd:

@@ -79,16 +79,12 @@ def _require_exact(spec: NumberSpec, command: str) -> None:
         raise SpecParseError(f"dec: inputs carry finite precision; {command} needs an exact value")
 
 
-def _parse_arg_spec(text: str) -> NumberSpec:
-    return parse_number(text)
-
-
 # ---------------------------------------------------------------------------
 # command implementations; each returns (rows, ok)
 
 
 def _cmd_expand(args) -> tuple[list[dict], bool]:
-    spec = _parse_arg_spec(args.number)
+    spec = parse_number(args.number)
     _, cf = _coerced(spec)
     row = {
         "input": render(spec),
@@ -100,7 +96,7 @@ def _cmd_expand(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_convergents(args) -> tuple[list[dict], bool]:
-    spec = _parse_arg_spec(args.number)
+    spec = parse_number(args.number)
     _, cf = _coerced(spec)
     rows = [
         {"input": render(spec), "command": "convergents", "n": c.n, "p": c.p, "q": c.q}
@@ -110,7 +106,7 @@ def _cmd_convergents(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_verify(args) -> tuple[list[dict], bool]:
-    spec = _parse_arg_spec(args.number)
+    spec = parse_number(args.number)
     _require_exact(spec, "verify")
     bspec = BoundSpec(args.bound, args.k)
     value, cf = _coerced(spec)
@@ -139,7 +135,7 @@ def _cmd_verify(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_classify(args) -> tuple[list[dict], bool]:
-    spec = _parse_arg_spec(args.number)
+    spec = parse_number(args.number)
     _require_exact(spec, "classify-equality")
     value, cf = _coerced(spec)
     if cf.is_finite:
@@ -195,7 +191,7 @@ def _cmd_lemmas(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_classical(args) -> tuple[list[dict], bool]:
-    spec = _parse_arg_spec(args.number)
+    spec = parse_number(args.number)
     _require_exact(spec, "classical")
     value, cf = _coerced(spec)
     if cf.is_finite:
@@ -222,6 +218,7 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
         if not text:
             continue
         spec = parse_number(text)
+        _require_exact(spec, "report")
         value, cf = _coerced(spec)
         depth = min(args.n, len(cf) - 1) if cf.is_finite else args.n
         records = verify_bound_scan(value, bspec, depth)

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import _backend as backend
-from .bounds import BoundSpec, Outcome, bound_rhs
+from .bounds import BoundSpec, Outcome, bound_rhs, f_value
 from .cf import (
     CFExpansion,
     alpha1,
+    alpha2,
     cf_value,
     convergents,
     expand_rational,
@@ -104,10 +104,7 @@ def is_in_F(x: NumberInput, k: int) -> bool:
     if k < 0:
         raise ValueError("k must be >= 0")
     value, cf = coerce_number(x)
-    if isinstance(value, Fraction):
-        if value < 0 or value > 1:
-            return False
-    elif value < 0 or value > 1:
+    if value < 0 or value > 1:
         return False
     digits = [cf.a0, *cf.head, *(cf.period or ())]
     return all(a <= k for a in digits)
@@ -160,8 +157,6 @@ def is_integer_translate(x: QuadSurd, y: QuadSurd) -> bool:
 
 def classify_equality(x: QuadSurd, k: int) -> str:
     """Which extremal family (if any) x is an integer translate of."""
-    from .cf import alpha2  # local: avoids polluting module surface
-
     if is_integer_translate(x, alpha1(k)):
         return "alpha1"
     if is_integer_translate(x, alpha2(k)):
@@ -212,8 +207,10 @@ def _starred_q(k: int, j: int) -> tuple[int, int]:
     """(q*_j, q*_{j-1}) for the convergents of [0; (k)]."""
     if j < 1:
         raise ValueError("depth must be >= 1")
-    pairs = backend.convergent_pairs([0] + [k] * j, j + 1)
-    return pairs[j][1], pairs[j - 1][1]
+    q0, q1 = 0, 1  # q_{-1}, q_0
+    for _ in range(j):
+        q0, q1 = q1, k * q1 + q0
+    return q1, q0
 
 
 def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
@@ -228,8 +225,6 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
 
     if inst.lemma_id == "L0_limit":
         # f(q) < q^2 sqrt(d) + 1/sqrt(d): the sqrt(1+x) < 1 + x/2 shortcut
-        from .bounds import f_value
-
         q = int(inst.params.get("q", 1))
         margin = RadicalSum(0, [(q * q, d), (Fraction(1, d), d)]) - f_value(k, q)
     elif inst.lemma_id == "L1_case1":

@@ -1,22 +1,11 @@
 """Unit tests for the approximation-bound right-hand sides."""
-from fractions import Fraction
-
 import mpmath
 import pytest
 
-from cfbounds.bounds import (
-    BOUND_KINDS,
-    BoundSpec,
-    Outcome,
-    bound_rhs,
-    default_strictness,
-    f_value,
-    monotone_refinement_check,
-    outcome_holds,
-    satisfies,
-)
+from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_rhs, f_value
 from cfbounds.bounds import _refined_rhs
 from cfbounds.exact import RadicalSum, radical_sign
+from cfbounds.verify import LemmaInstance, check_lemma
 
 mpmath.mp.dps = 200
 
@@ -58,7 +47,7 @@ def test_bound_rhs_matches_oracle(kind, q):
 
 
 @pytest.mark.parametrize("k", range(1, 11))
-@pytest.mark.parametrize("q", [1, 2, 3, 10, 100, 10**6])
+@pytest.mark.parametrize("q", [1, 2, 3, 10, 100, 1000, 10**6])
 def test_refined_is_strictly_below_nathanson(k, q):
     diff = bound_rhs(BoundSpec("refined_f", k), q) - bound_rhs(BoundSpec("nathanson", k), q)
     assert radical_sign(diff) < 0
@@ -75,7 +64,10 @@ def test_reciprocal_simplification_is_exact(k, q):
 @pytest.mark.parametrize("k", [1, 3, 10])
 @pytest.mark.parametrize("q", [1, 2, 100, 1000])
 def test_f_between_its_bracketing_values(k, q):
-    assert monotone_refinement_check(k, q)
+    # upper side f(q) < q^2 sqrt(k^2+4) + 1/sqrt(k^2+4) is lemma L0_limit; the
+    # lower side f(q) > q^2 sqrt(k^2+4) is test_refined_is_strictly_below_nathanson
+    holds, _ = check_lemma(LemmaInstance("L0_limit", k, {"q": q}))
+    assert holds
 
 
 def test_requires_k_for_parametric_bounds():
@@ -84,25 +76,3 @@ def test_requires_k_for_parametric_bounds():
     with pytest.raises(ValueError):
         BoundSpec("nathanson", 0)
 
-
-def test_default_strictness():
-    assert default_strictness("refined_f") == "non_strict"
-    for kind in BOUND_KINDS:
-        if kind != "refined_f":
-            assert default_strictness(kind) == "strict"
-
-
-def test_satisfies_trichotomy():
-    spec = BoundSpec("refined_f", 1)
-    rhs = bound_rhs(spec, 1)
-    below = rhs * Fraction(1, 2)
-    assert satisfies(below, spec, 1) is Outcome.HOLDS_STRICT
-    assert satisfies(rhs, spec, 1) is Outcome.HOLDS_EQUAL
-    assert satisfies(rhs * 2, spec, 1) is Outcome.FAILS
-
-
-def test_outcome_holds_depends_on_strictness():
-    assert outcome_holds(Outcome.HOLDS_EQUAL, "non_strict")
-    assert not outcome_holds(Outcome.HOLDS_EQUAL, "strict")
-    assert outcome_holds(Outcome.HOLDS_STRICT, "strict")
-    assert not outcome_holds(Outcome.FAILS, "non_strict")

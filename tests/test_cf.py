@@ -73,10 +73,25 @@ def test_last_convergent_is_the_number(f):
         (alpha1(2), "[0;(2)]"),
         (alpha2(2), "[0;1,1,(2)]"),
         (alpha2(3), "[0;1,2,(3)]"),
+        # sqrt(a^2 + 1) = [a; (2a)]: a short period behind a huge radicand
+        (QuadSurd.make(0, 1, 1, 10**24 + 1), f"[{10**12};({2 * 10**12})]"),
     ],
 )
 def test_expand_surd_known(x, rendered):
     assert expand_surd(x).render() == rendered
+
+
+def test_expand_surd_is_minimal(rng):
+    for _ in range(200):
+        cf = expand_surd(make_random_surd(rng))
+        head, period = cf.head, cf.period
+        # a head ending in the period's last digit could be rotated shorter
+        if head:
+            assert head[-1] != period[-1]
+        length = len(period)
+        for m in range(1, length):
+            if length % m == 0:
+                assert period != period[m:] + period[:m], (cf, m)
 
 
 def test_surd_round_trip(rng):

@@ -103,6 +103,15 @@ def test_report_corpus(tmp_path):
     assert [r["applicable"] for r in rows] == [True, False, True]
 
 
+def test_report_rejects_dec_lines(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("surd:(1+1*sqrt(5))/2\ndec:1.41~2\n")
+    code, out = run_cli(
+        ["report", "--corpus", str(corpus), "--bound", "refined_f", "--k", "1", "--n", "10"]
+    )
+    assert code == 3 and out == ""
+
+
 def test_csv_has_header():
     code, out = run_cli(["--format", "csv", "convergents", "rat:10/7", "--n", "2"])
     lines = out.splitlines()
