@@ -5,7 +5,11 @@ Every command emits schema-stable records, one per line, as JSON
 byte-identical.
 
 Exit codes: 0 success, 1 a verified claim failed where it was expected
-to hold, 2 usage error, 3 malformed number spec.
+to hold, 2 usage error, 3 malformed number spec, 4 internal consistency
+check failed (two exact computations of one quantity disagreed).
+
+``expand`` reports ``"exact": null`` for ``dec:`` inputs, which carry
+finite precision and so have no exact value to report.
 """
 from __future__ import annotations
 
@@ -17,12 +21,13 @@ import sys
 from fractions import Fraction
 
 from .bounds import BOUND_KINDS, BoundSpec, Outcome
-from .cf import convergents
+from .cf import IdentityMismatch, convergents
 from .exact import RadicalSum
 from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, render
 from .verify import (
     LEMMA_IDS,
     _LEMMA_MIN_K,
+    _WINDOW_RULES,
     LemmaInstance,
     check_lemma,
     classify_equality,
@@ -90,7 +95,7 @@ def _cmd_expand(args) -> tuple[list[dict], bool]:
         "input": render(spec),
         "command": "expand",
         "cf": cf.render(),
-        "exact": _exact_text(spec),
+        "exact": _exact_text(spec) if spec.is_exact else None,
     }
     return [row], True
 
@@ -341,6 +346,10 @@ def main(argv=None, out=None) -> int:
         parser.error("--n must be >= 0")
     if getattr(args, "depth", 1) < 1:
         parser.error("--depth must be >= 1")
+    if args.command == "classical":
+        width = _WINDOW_RULES[args.rule][1]
+        if args.n < width - 1:
+            parser.error(f"--rule {args.rule} needs --n >= {width - 1} to check one window")
     try:
         rows, ok = _HANDLERS[args.command](args)
     except SpecParseError as exc:
@@ -349,6 +358,9 @@ def main(argv=None, out=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (IdentityMismatch, ArithmeticError) as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return 4
     _emit(rows, args.command, args.format, out)
     return 0 if ok else 1
 

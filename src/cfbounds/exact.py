@@ -9,8 +9,9 @@ three value types:
   square roots of distinct non-square integers, held as integer numerators
   over one shared positive denominator.
 
-The sign of a RadicalSum is decided by integer directed rounding: with the
-value scaled by its denominator and by 2^bits, every radical term is
+The sign of a RadicalSum with one radical term is decided by one integer
+comparison.  With more terms it is decided by integer directed rounding:
+with the value scaled by its denominator and by 2^bits, every radical term is
 rounded outward to neighbouring integers with ``isqrt``, and the working
 precision doubles up to a cap, with an exact recursive-squaring procedure
 as a fallback.  Because square roots of distinct squarefree integers are
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Union
 
 __all__ = [
@@ -60,6 +61,8 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(10_000)
+# one gcd with this product finds every prime below 10^4 that divides n
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 _split_cache: dict[int, tuple[int, int]] = {}
 
@@ -81,17 +84,22 @@ def square_free_split(n: int) -> tuple[int, int]:
         result = (r, 1)
     else:
         s, k, m = 1, 1, n
-        for p in _SMALL_PRIMES:
-            if p * p > m:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                s *= p ** (e >> 1)
-                if e & 1:
-                    k *= p
+        g = gcd(n, _PRIMORIAL)  # the product of the primes below 10^4 dividing n
+        primes = iter(_SMALL_PRIMES)
+        while g > 1:
+            p = next(primes)
+            if p * p > g:
+                p = g  # no prime up to sqrt(g) divides g, so g is prime
+            elif g % p:
+                continue
+            g //= p
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e >> 1)
+            if e & 1:
+                k *= p
         if m > 1:
             r = isqrt(m)
             if r * r == m:
@@ -326,6 +334,13 @@ class RadicalSum:
         """Exact sign in {-1, 0, +1}."""
         if not self._t:
             return _sgn(self._c)
+        if len(self._t) == 1:
+            # c + n*sqrt(r): with opposite signs, compare c^2 with n^2*r
+            ((r, n),) = self._t
+            c = self._c
+            if c == 0 or (c > 0) == (n > 0):
+                return _sgn(n)
+            return _sgn(c) * _sgn(c * c - n * n * r)
         bits = PRECISION_START_BITS
         while bits <= PRECISION_CAP_BITS:
             lo, hi = self.interval(bits)
@@ -367,21 +382,25 @@ class RadicalSum:
 
         Zero renders as "0"; everything else as d.dd...e<exp> (round half
         to even; for irrational values no tie can occur, for rational ones
-        the tie is resolved exactly).
+        the tie is resolved exactly).  The interval ladder starts at 256
+        bits and accepts the first interval that excludes zero and whose
+        endpoints round to the same digits; it needs no separate sign
+        decision.  Only when the interval still contains zero at
+        ``PRECISION_CAP_BITS`` does :meth:`sign` run, with its exact
+        fallback, so a zero that is not structurally zero renders as "0".
         """
-        sgn = self.sign()
-        if sgn == 0:
-            return "0"
         if not self._t:
             return _decimal_of_ratio(self._c, self.den, significant)
         bits = 256
         while True:
             lo, hi = self.interval(bits)
-            if _sgn(lo) == _sgn(hi) == sgn:
+            if lo > 0 or hi < 0:
                 scale = self.den << bits
                 a = _decimal_of_ratio(lo, scale, significant)
                 if a == _decimal_of_ratio(hi, scale, significant):
                     return a
+            elif bits == PRECISION_CAP_BITS and self.sign() == 0:
+                return "0"
             if bits > (1 << 20):  # pragma: no cover - defensive
                 raise UnsupportedExpressionError("decimal rendering did not settle")
             bits *= 2

@@ -304,10 +304,16 @@ _WINDOW_RULES = {
 
 
 def classical_window_check(x: NumberInput, rule: str, n_max: int) -> bool:
-    """Every window of consecutive convergents contains a strict witness."""
+    """Every window of consecutive convergents contains a strict witness.
+
+    n_max must leave room for at least one window, or the verdict would be
+    vacuously true; a smaller n_max raises ValueError.
+    """
     if rule not in _WINDOW_RULES:
         raise ValueError(f"unknown rule {rule!r}")
     spec, width = _WINDOW_RULES[rule]
+    if n_max < width - 1:
+        raise ValueError(f"{rule} needs n_max >= {width - 1} to check one window")
     value, cf = coerce_number(x)
     if cf.is_finite:
         raise ValueError("rule requires an irrational input")

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from cfbounds import cli
+from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
+from cfbounds.exact import QuadSurd
+from cfbounds.verify import classical_window_check
 
 
 def run_cli(argv):
@@ -85,6 +89,53 @@ def test_classical_rule():
         ["classical", "surd:(1+1*sqrt(5))/2", "--rule", "borel_triples", "--n", "12"]
     )
     assert code == 0 and json.loads(out)["holds"] is True
+
+
+@pytest.mark.parametrize(
+    "rule, width", [("vahlen_pairs", 2), ("borel_triples", 3), ("hancl_nair_triples", 3)]
+)
+def test_classical_rejects_n_below_one_window(rule, width, capsys):
+    # n = width - 2 gives width - 1 convergents: no window, so no verdict
+    argv = ["classical", "surd:(1+1*sqrt(5))/2", "--rule", rule, "--n", str(width - 2)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=io.StringIO())
+    assert exc.value.code == 2
+    assert f"--n >= {width - 1}" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        classical_window_check(QuadSurd.make(1, 1, 2, 5), rule, width - 2)
+    code, out = run_cli(argv[:-1] + [str(width - 1)])  # exactly one window
+    assert code == 0 and json.loads(out)["holds"] is True
+
+
+def test_expand_dec_has_no_exact_value():
+    code, out = run_cli(["expand", "dec:1.5~3"])
+    row = json.loads(out)
+    assert code == 0
+    assert list(row) == ["input", "command", "cf", "exact"]
+    assert row["exact"] is None and row["cf"] == "[1;2]"
+    code, out = run_cli(["--format", "csv", "expand", "dec:1.5~3"])
+    assert code == 0 and out.splitlines()[1].endswith(",")
+
+
+@pytest.mark.parametrize(
+    "target, argv, exc",
+    [
+        ("check_lemma", ["lemmas", "--k-range", "2..2"], ArithmeticError("closed form")),
+        (
+            "verify_bound_scan",
+            ["verify", "surd:(1+1*sqrt(5))/2", "--bound", "hurwitz", "--n", "3"],
+            IdentityMismatch("error identity failed"),
+        ),
+    ],
+)
+def test_exit_4_on_failed_internal_check(monkeypatch, capsys, target, argv, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out = run_cli(argv)
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_report_corpus(tmp_path):

@@ -7,9 +7,10 @@ from math import isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfbounds import exact
 from cfbounds.bounds import BoundSpec
 from cfbounds.exact import (
     MixedFieldError,
@@ -49,6 +50,57 @@ def test_square_free_split_reconstructs(n):
     assert s * f * f == n
     # no small square divides the kernel
     assert all(s % (p * p) for p in (2, 3, 5, 7, 11, 13))
+
+
+_PRIMES_BELOW_10_4 = [p for p in range(2, 10**4) if all(p % d for d in range(2, isqrt(p) + 1))]
+_M127 = 2**127 - 1  # a Mersenne prime
+# cofactors without prime factors below 10^4, as (value, square root or None)
+_LARGE_COFACTORS = [
+    (1, 1), (10007, None), (10009, None), (10007 * 10009, None), (10007**2, 10007),
+    (_M127, None), (_M127**2, _M127), (_M127 * 10007**2, None),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.one_of(st.just(9973), st.sampled_from(_PRIMES_BELOW_10_4)),
+        st.integers(min_value=1, max_value=150),
+        max_size=6,
+    ),
+    st.sampled_from(_LARGE_COFACTORS),
+)
+@example({9973: 77, 2: 3}, (10007, None))  # about 1,040 bits
+@example({9973: 150, 9967: 151, 3: 2}, (_M127 * 10007**2, None))  # about 4,150 bits
+@example({9949: 80, 9973: 80}, (_M127**2, _M127))  # a perfect square
+def test_square_free_split_contract(exponents, cofactor):
+    # n = prod p^e * m; the small primes split exactly, and m has no prime
+    # below 10^4, so it moves whole into s when it is a square and into k
+    # otherwise (10007^2 * M127 keeps its square factor, as documented)
+    m, root = cofactor
+    n, s, k = m, 1, 1
+    for p, e in exponents.items():
+        n *= p**e
+        s *= p ** (e // 2)
+        k *= p ** (e % 2)
+    if root is None:
+        k *= m
+    else:
+        s *= root
+    exact._split_cache.clear()
+    assert square_free_split(n) == (s, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=1500))
+def test_square_free_split_of_lucas_squares(j):
+    # 5 F_2j^2 + 4 = L_2j^2, a perfect square of up to ~2,100 bits
+    f0, f1 = 0, 1
+    for _ in range(2 * j):
+        f0, f1 = f1, f0 + f1
+    lucas = 2 * f1 - f0  # L_2j = F_(2j+1) + F_(2j-1)
+    exact._split_cache.clear()
+    assert square_free_split(5 * f0 * f0 + 4) == (lucas, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +197,48 @@ def test_interval_encloses_scaled_value(c0, terms, bits):
         )
         assert lo <= scaled <= hi
     assert hi - lo <= len(r.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10**6).filter(lambda r: isqrt(r) ** 2 != r),
+    st.integers(min_value=1, max_value=2**2000),
+    st.sampled_from([-1, 1]),
+    st.sampled_from(["opposite-floor", "opposite-ceil", "same", "zero"]),
+    st.integers(min_value=1, max_value=2**100),
+)
+def test_one_radical_sign_matches_deciding_interval(r, n, n_sign, case, den):
+    # c + n*sqrt(r) with c next to -n*sqrt(r) cancels to about 2^-2000
+    t = RadicalSum(0, [(n_sign * n, r)])
+    ((coef, k),) = t.terms  # r with its square part folded into coef
+    root = isqrt(coef.numerator**2 * k)
+    c = {
+        "opposite-floor": -n_sign * root,
+        "opposite-ceil": -n_sign * (root + 1),
+        "same": n_sign * root,
+        "zero": 0,
+    }[case]
+    x = (t + c) / den
+    bits = 64
+    while True:
+        lo, hi = x.interval(bits)
+        if lo > 0 or hi < 0:
+            break
+        bits *= 2
+        assert bits <= 1 << 16
+    assert x.sign() == (1 if lo > 0 else -1)
+    assert (-x).sign() == -x.sign()
+
+
+def test_decimal_of_zero_that_is_not_structurally_zero():
+    # 5*4010488^2 + 4 has the square factor 10007^2, which square_free_split
+    # leaves in the radicand: the two terms below cancel exactly
+    n = 5 * 4010488**2 + 4
+    assert n % 10007**2 == 0
+    z = RadicalSum(0, [(1, n), (-10007, n // 10007**2)])
+    assert len(z.terms) == 2 and z.sign() == 0
+    assert z.decimal(50) == "0"
+    assert (z + Fraction(1, 3)).decimal(5) == "3.3333e-01"
 
 
 def test_radical_sum_is_immutable():
