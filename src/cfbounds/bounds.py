@@ -17,6 +17,14 @@ For refined_f the reciprocal collapses to the two-radical form
     1/f(q) = (sqrt((k^2+4) q^2 + 4) - q sqrt(k^2+4)) / (2 q),
 
 verified symbolically against f(q) in the test suite.
+
+For hancl_nair, with u = 2q^2 - 5, B = 5u^2 - 45, C = 8u and
+N = B^2 - 5C^2, the denominator is rationalised in closed form:
+
+    2/(4 + u sqrt(5) + sqrt(61)) = 2(4 + u sqrt(5) - sqrt(61))(B - C sqrt(5))/N
+        = 2(4B - 5uC + (uB - 4C) sqrt(5) - B sqrt(61) + C sqrt(305))/N,
+
+since (4 + u sqrt(5))^2 - 61 = B + C sqrt(5).
 """
 from __future__ import annotations
 
@@ -98,6 +106,16 @@ def bound_rhs(spec: BoundSpec, q: int) -> RadicalSum:
         return RadicalSum(0, [(Fraction(1, d * q * q), d)])
     if kind == "refined_f":
         return _refined_rhs(spec.k, q)
-    # hancl_nair: q^2 * (sqrt5 + (4 - 5 sqrt5 + sqrt61)/(2 q^2)) doubled
-    den = RadicalSum(4, [(2 * q * q - 5, 5), (1, 61)])
-    return den.inverse() * 2
+    # hancl_nair, rationalised in closed form (see the module docstring).
+    # N != 0 for every q >= 1: at q = 1, 2 we get B = 0 and N = -5C^2, where
+    # C != 0 because u is odd; otherwise B^2 = 5C^2 would make sqrt5 rational.
+    # The sign of N moves into the numerators, since den must be positive.
+    u = 2 * q * q - 5
+    b, c = 5 * u * u - 45, 8 * u
+    n = b * b - 5 * c * c
+    s = 2 if n > 0 else -2
+    return RadicalSum._make(
+        s * (4 * b - 5 * u * c),
+        [(5, s * (u * b - 4 * c)), (61, -s * b), (305, s * c)],
+        abs(n),
+    )

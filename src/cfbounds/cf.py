@@ -242,8 +242,8 @@ def error_identity(x: QuadSurd, cf: CFExpansion, n: int) -> RadicalSum:
     direct = x.to_radical() - Fraction(conv.p, conv.q)
     if direct.sign() < 0:
         direct = -direct
-    denom = (tail_value(cf, n).to_radical() + reversed_tail(cf, n)) * (conv.q * conv.q)
-    via_tail = denom.inverse()
+    denom = (tail_value(cf, n) + reversed_tail(cf, n)) * (conv.q * conv.q)
+    via_tail = (1 / denom).to_radical()
     if (direct - via_tail).sign() != 0:
         raise IdentityMismatch(f"error identity failed at n={n} for {x!r}")
     return direct
@@ -261,16 +261,6 @@ def alpha2(k: int) -> QuadSurd:
     if k < 1:
         raise ValueError("k must be >= 1")
     return QuadSurd.make(k + 2, -1, 2, k * k + 4)
-
-
-def _alpha2_recurrence_pq(k: int, n: int) -> tuple[int, int]:
-    # seeds p0=0, q0=q1=p1=1, p2=k-1, q2=k, then the order-2 recurrence
-    ps = [0, 1, k - 1]
-    qs = [1, 1, k]
-    while len(ps) <= n:
-        ps.append(k * ps[-1] + ps[-2])
-        qs.append(k * qs[-1] + qs[-2])
-    return ps[n], qs[n]
 
 
 def closed_form_pq(k: int, n: int, family: str) -> tuple[int, int]:

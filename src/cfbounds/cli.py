@@ -10,6 +10,12 @@ check failed (two exact computations of one quantity disagreed).
 
 ``expand`` reports ``"exact": null`` for ``dec:`` inputs, which carry
 finite precision and so have no exact value to report.
+
+``report`` scans each corpus line up to ``--n`` convergents, but a rational
+line stops at its last convergent: a corpus mixes lengths, and a rational is
+reported as scanned but not applicable.  ``verify`` on the same rational at
+a depth past its last convergent exits 3 instead, because it was asked for
+that depth.
 """
 from __future__ import annotations
 

@@ -74,7 +74,8 @@ def coerce_number(x: NumberInput) -> tuple[Union[Fraction, QuadSurd], CFExpansio
 def _error_term(value: Union[Fraction, QuadSurd], p: int, q: int) -> RadicalSum:
     if isinstance(value, Fraction):
         return RadicalSum(abs(value - Fraction(p, q)))
-    err = value.to_radical() - Fraction(p, q)
+    # (a + b sqrt(d))/c - p/q = (aq - pc + bq sqrt(d))/(cq)
+    err = RadicalSum._make(value.a * q - p * value.c, [(value.d, value.b * q)], value.c * q)
     return -err if err.sign() < 0 else err
 
 
@@ -221,7 +222,6 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     """
     k = inst.k
     d = k * k + 4
-    sq = _sqrt_d(k)
 
     if inst.lemma_id == "L0_limit":
         # f(q) < q^2 sqrt(d) + 1/sqrt(d): the sqrt(1+x) < 1 + x/2 shortcut
@@ -237,19 +237,20 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
         closed = QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5)
         if (v - closed).sign() != 0:
             raise ArithmeticError("closed form for the limit of H does not match")
-        margin = v.to_radical() - sq
+        margin = v.to_radical() - _sqrt_d(k)
     elif inst.lemma_id == "L3_odd_block":
         # k + [0; k-1, k+1] + [0;(k)] = (k^3 + 2k + 2 + k^2 sqrt(d))/(2k^2) > sqrt(d)
         v = alpha1(k) + Fraction(k) + Fraction(k + 1, k * k)
         closed = QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d)
         if (v - closed).sign() != 0:
             raise ArithmeticError("closed form for the odd-block limit does not match")
-        margin = v.to_radical() - sq
+        margin = v.to_radical() - _sqrt_d(k)
     elif inst.lemma_id == "L4_AB_margin":
         # (1/k^2 + 1/(k + 1/k)^2) / (s + sqrt(d)) = s - sqrt(d) > 0
         # for s = k + 1/k + 1/(k + 1/k)
         s = Fraction(k) + Fraction(1, k) + 1 / (Fraction(k) + Fraction(1, k))
         num = Fraction(1, k * k) + 1 / (Fraction(k) + Fraction(1, k)) ** 2
+        sq = _sqrt_d(k)
         displayed = RadicalSum(num) * (RadicalSum(s) + sq).inverse()
         margin = RadicalSum(s) - sq
         if (displayed - margin).sign() != 0:
@@ -265,16 +266,17 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
         # convergent denominators taken from [0;(k)]
         depth = int(inst.params.get("depth", 1))
         q1, q0 = inst.params.get("qstar") or _starred_q(k, depth)
-        factor, weight = {
-            "R1": (RadicalSum(k + 2, [(-1, d)]), (k + 1) * q1 + q0),
-            "R2": (RadicalSum(2 - k, [(1, d)]), q1 + q0),
-            "R3": (RadicalSum(2 - k, [(1, d)]), (k - 1) * q1 + q0),
-            "R4": (RadicalSum(1 - k, [(1, d)]), (2 * k - 1) * q1 + 2 * q0),
-            "R5": (RadicalSum(-k, [(1, d)]), (2 * k - 1) * q1 + 2 * q0),
+        # factor (a, b) stands for a + b sqrt(d); the ratio lies in Q(sqrt(d))
+        (a, b), weight = {
+            "R1": ((k + 2, -1), (k + 1) * q1 + q0),
+            "R2": ((2 - k, 1), q1 + q0),
+            "R3": ((2 - k, 1), (k - 1) * q1 + q0),
+            "R4": ((1 - k, 1), (2 * k - 1) * q1 + 2 * q0),
+            "R5": ((-k, 1), (2 * k - 1) * q1 + 2 * q0),
         }[inst.lemma_id]
-        x = factor * weight
-        y = RadicalSum(k * q1 + 2 * q0, [(q1, d)])
-        margin = x * y.inverse() - RadicalSum(0, [(Fraction(1, d), d)])
+        x = QuadSurd.make(a * weight, b * weight, 1, d)
+        y = QuadSurd.make(k * q1 + 2 * q0, q1, 1, d)
+        margin = (x / y - QuadSurd.make(0, 1, d, d)).to_radical()
 
     return radical_sign(margin) > 0, margin
 

@@ -1,6 +1,8 @@
 """Unit tests for the approximation-bound right-hand sides."""
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_rhs, f_value
 from cfbounds.bounds import _refined_rhs
@@ -68,6 +70,24 @@ def test_f_between_its_bracketing_values(k, q):
     # lower side f(q) > q^2 sqrt(k^2+4) is test_refined_is_strictly_below_nathanson
     holds, _ = check_lemma(LemmaInstance("L0_limit", k, {"q": q}))
     assert holds
+
+
+def _hancl_nair_by_inverse(q: int) -> RadicalSum:
+    # the rationalisation the closed form replaces: 2/(4 + (2q^2 - 5) sqrt5 + sqrt61)
+    return RadicalSum(4, [(2 * q * q - 5, 5), (1, 61)]).inverse() * 2
+
+
+def test_hancl_nair_closed_form_equals_inverse():
+    # RadicalSum equality compares the integer fields, so this is field for field;
+    # q = 1, 2 are the values with N = B^2 - 5C^2 < 0
+    for q in range(1, 401):
+        assert bound_rhs(BoundSpec("hancl_nair"), q) == _hancl_nair_by_inverse(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**40))
+def test_hancl_nair_closed_form_equals_inverse_at_large_q(q):
+    assert bound_rhs(BoundSpec("hancl_nair"), q) == _hancl_nair_by_inverse(q)
 
 
 def test_requires_k_for_parametric_bounds():

@@ -154,6 +154,21 @@ def test_report_corpus(tmp_path):
     assert [r["applicable"] for r in rows] == [True, False, True]
 
 
+def test_report_clamps_rational_lines_to_their_last_convergent(tmp_path):
+    # report scans a rational line only up to its last convergent, while
+    # verify rejects a depth past it
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("rat:10/7\n")
+    code, out = run_cli(
+        ["report", "--corpus", str(corpus), "--bound", "refined_f", "--k", "1", "--n", "50"]
+    )
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and row["n"] == 50 and row["applicable"] is False
+    assert row["holds_strict"] + row["holds_equal"] + row["fails"] == 3
+    code, out = run_cli(["verify", "rat:10/7", "--bound", "refined_f", "--k", "1", "--n", "50"])
+    assert code == 3 and out == ""
+
+
 def test_report_rejects_dec_lines(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("surd:(1+1*sqrt(5))/2\ndec:1.41~2\n")

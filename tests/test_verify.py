@@ -2,10 +2,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbounds.bounds import BoundSpec, Outcome
-from cfbounds.cf import CFExpansion, alpha1, alpha2, expand_surd
-from cfbounds.exact import QuadSurd
+from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_surd
+from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import (
     LEMMA_IDS,
     LemmaInstance,
@@ -18,6 +20,8 @@ from cfbounds.verify import (
     is_integer_translate,
     nathanson_applicable,
     verify_bound_scan,
+    _LEMMA_MIN_K,
+    _error_term,
 )
 from conftest import make_random_surd
 
@@ -180,6 +184,70 @@ def test_R1_margin_sign_identity():
     assert rem == 0
     coeffs = sp.Poly(p, k, q1, q0).coeffs()
     assert coeffs and all(c > 0 for c in coeffs)
+
+
+def _R_margin_by_inverse(lemma: str, k: int, q1: int, q0: int) -> RadicalSum:
+    # factor * weight / (k q1 + 2 q0 + q1 sqrt(d)) - 1/sqrt(d), rationalised
+    # through RadicalSum.inverse as before the Q(sqrt(d)) closed form
+    d = k * k + 4
+    factor, weight = {
+        "R1": (RadicalSum(k + 2, [(-1, d)]), (k + 1) * q1 + q0),
+        "R2": (RadicalSum(2 - k, [(1, d)]), q1 + q0),
+        "R3": (RadicalSum(2 - k, [(1, d)]), (k - 1) * q1 + q0),
+        "R4": (RadicalSum(1 - k, [(1, d)]), (2 * k - 1) * q1 + 2 * q0),
+        "R5": (RadicalSum(-k, [(1, d)]), (2 * k - 1) * q1 + 2 * q0),
+    }[lemma]
+    y = RadicalSum(k * q1 + 2 * q0, [(q1, d)])
+    return factor * weight * y.inverse() - RadicalSum(0, [(Fraction(1, d), d)])
+
+
+_R_LEMMAS = ("R1", "R2", "R3", "R4", "R5")
+
+
+def test_R_margins_equal_inverse_route():
+    # RadicalSum equality compares the integer fields, so this is field for field
+    for k in range(1, 41):
+        q0, q1 = 0, 1
+        for depth in range(1, 13):
+            q0, q1 = q1, k * q1 + q0  # starred convergents of [0;(k)]
+            for lemma in _R_LEMMAS:
+                if k < _LEMMA_MIN_K.get(lemma, 1):
+                    continue
+                _, margin = check_lemma(LemmaInstance(lemma, k, {"depth": depth}))
+                assert margin == _R_margin_by_inverse(lemma, k, q1, q0), (lemma, k, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_R_LEMMAS),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=10**30),
+    st.integers(min_value=0, max_value=10**30),
+)
+def test_R_margins_equal_inverse_route_at_random_qstar(lemma, k, q1, q0):
+    if k < _LEMMA_MIN_K.get(lemma, 1):
+        return
+    _, margin = check_lemma(LemmaInstance(lemma, k, {"qstar": (q1, q0)}))
+    assert margin == _R_margin_by_inverse(lemma, k, q1, q0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-12, max_value=-1),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=2, max_value=400),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_error_term_equals_radical_difference(a, b, c, d, n, shift):
+    x = QuadSurd.make(a, b, c, d)
+    if x.is_rational:
+        return
+    conv = convergents(expand_surd(x), n)[-1]
+    p, q = conv.p + shift, conv.q  # the convergent and rationals near it
+    diff = x.to_radical() - Fraction(p, q)
+    assert _error_term(x, p, q) == (-diff if diff.sign() < 0 else diff)
 
 
 def test_L4_param_monotonicity_gate():
