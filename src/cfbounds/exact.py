@@ -13,11 +13,9 @@ The sign of a RadicalSum with one radical term is decided by one integer
 comparison.  With more terms it is decided by integer directed rounding:
 with the value scaled by its denominator and by 2^bits, every radical term is
 rounded outward to neighbouring integers with ``isqrt``, and the working
-precision doubles up to a cap, with an exact recursive-squaring procedure
-as a fallback.  Because square roots of distinct squarefree integers are
-linearly independent over Q, a canonicalized RadicalSum is zero exactly
-when it is structurally zero, so the adaptive path terminates on every
-nonzero value.
+precision doubles until the interval excludes zero or reaches the value's
+separation bound (:meth:`RadicalSum._zero_bits`; Burnikel, Funke, Mehlhorn,
+Schirra and Schmitt, Algorithmica 55, 2009), where it proves the value zero.
 """
 from __future__ import annotations
 
@@ -33,14 +31,9 @@ __all__ = [
     "UnsupportedExpressionError",
     "radical_sign",
     "square_free_split",
-    "PRECISION_START_BITS",
-    "PRECISION_CAP_BITS",
 ]
 
 Rational = Union[int, Fraction]
-
-PRECISION_START_BITS = 64
-PRECISION_CAP_BITS = 1 << 14
 
 
 class MixedFieldError(ValueError):
@@ -71,8 +64,11 @@ def square_free_split(n: int) -> tuple[int, int]:
     """Write n = s*s*k with k free of squares of primes below 10^4.
 
     Perfect squares are recognized at any size; a square factor p*p with
-    p > 10^4 hidden inside a non-square composite is left in k.  No value
-    arising from the supported operations hits that case.
+    p > 10^4 hidden inside a non-square composite is left in k (for example
+    5*4010488^2 + 4, a multiple of 10007^2).  Such a hidden square affects
+    only equality and hashing, which compare representations; the sign of a
+    RadicalSum stays exact, because its separation bound also holds for
+    radicands that are not squarefree (see :meth:`RadicalSum._zero_bits`).
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
@@ -330,8 +326,32 @@ class RadicalSum:
                 hi -= s
         return lo, hi
 
+    def _zero_bits(self) -> int:
+        """Bits at which an interval that holds zero proves the value zero.
+
+        Let v = (c + sum n_i*sqrt(r_i))/den with m radical terms; den*v is an
+        algebraic integer.  The product of its 2^m sign-flipped conjugates
+        c + sum +-n_i*sqrt(r_i) is even in each sqrt(r_i), so it is a
+        rational integer, nonzero when v != 0 (square roots of distinct
+        squarefree integers are linearly independent over Q).  Every
+        conjugate is below S = |c| + sum |n_i|*(isqrt(r_i) + 1), hence
+        |den*v| >= S^-(2^m - 1).  ``interval(bits)`` is exactly m units wide,
+        so at bits >= (2^m - 1)*bitlen(S) + bitlen(m + 1) + 1 an interval that
+        still holds zero proves v = 0.  A hidden square p^2, p > 10^4, can
+        make a flipped conjugate vanish when two radicands share a squarefree
+        part; the argument then applies to the merged form, with m' < m terms
+        and S' < 2S, and (2S)^(2^m' - 1) <= S^(2^m - 1) for S >= 2.  Here
+        bitlen(S) <= top + bitlen(m + 1), with top the largest of bitlen(c)
+        and bitlen(n_i) + ceil(bitlen(r_i)/2).
+        """
+        m = len(self._t)
+        w = (m + 1).bit_length()
+        top = max(n.bit_length() + (r.bit_length() + 1) // 2 for r, n in self._t)
+        return ((1 << m) - 1) * (max(top, self._c.bit_length()) + w) + w + 1
+
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}."""
+        """Exact sign in {-1, 0, +1}: ``interval`` at 64, 128, ... bits up to
+        the first rung at or above :meth:`_zero_bits`, where zero is proven."""
         if not self._t:
             return _sgn(self._c)
         if len(self._t) == 1:
@@ -341,39 +361,16 @@ class RadicalSum:
             if c == 0 or (c > 0) == (n > 0):
                 return _sgn(n)
             return _sgn(c) * _sgn(c * c - n * n * r)
-        bits = PRECISION_START_BITS
-        while bits <= PRECISION_CAP_BITS:
+        bits, cap = 64, 0
+        while True:
             lo, hi = self.interval(bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
+            if bits >= (cap := cap or self._zero_bits()):
+                return 0
             bits *= 2
-        return self._sign_exact()
-
-    def _sign_exact(self) -> int:
-        """Recursive-squaring sign: isolate the radicals sharing one prime,
-        square, and recurse on values with strictly fewer radical primes."""
-        if not self._t:
-            return _sgn(self._c)
-        p = _pick_split_prime([r for r, _ in self._t])
-        x = RadicalSum._make(self._c, [(r, n) for r, n in self._t if r % p], self.den)
-        const, pairs = 0, []
-        for r, n in self._t:
-            if r % p == 0:
-                s, k = square_free_split(r // p)
-                if k == 1:
-                    const += n * s
-                else:
-                    pairs.append((k, n * s))
-        w = RadicalSum._make(const, pairs, self.den)  # self = x + sqrt(p)*w
-        sx = x.sign()
-        sw = w.sign()
-        if sx == 0:
-            return sw
-        if sw == 0 or sx == sw:
-            return sx
-        return sx * (x * x - w * w * p).sign()
 
     # -- rendering
 
@@ -384,14 +381,12 @@ class RadicalSum:
         to even; for irrational values no tie can occur, for rational ones
         the tie is resolved exactly).  The interval ladder starts at 256
         bits and accepts the first interval that excludes zero and whose
-        endpoints round to the same digits; it needs no separate sign
-        decision.  Only when the interval still contains zero at
-        ``PRECISION_CAP_BITS`` does :meth:`sign` run, with its exact
-        fallback, so a zero that is not structurally zero renders as "0".
+        endpoints round to the same digits; one that holds zero at or above
+        :meth:`_zero_bits` proves the value zero, structurally or not.
         """
         if not self._t:
             return _decimal_of_ratio(self._c, self.den, significant)
-        bits = 256
+        bits, cap = 256, 0
         while True:
             lo, hi = self.interval(bits)
             if lo > 0 or hi < 0:
@@ -399,9 +394,10 @@ class RadicalSum:
                 a = _decimal_of_ratio(lo, scale, significant)
                 if a == _decimal_of_ratio(hi, scale, significant):
                     return a
-            elif bits == PRECISION_CAP_BITS and self.sign() == 0:
+            elif bits >= (cap := cap or self._zero_bits()):
                 return "0"
-            if bits > (1 << 20):  # pragma: no cover - defensive
+            # a rational value held with radicals can sit on a rounding tie
+            if bits > (1 << 20):
                 raise UnsupportedExpressionError("decimal rendering did not settle")
             bits *= 2
 
@@ -515,9 +511,6 @@ class QuadSurd:
     def to_radical(self) -> RadicalSum:
         return RadicalSum._make(self.a, [(self.d, self.b)] if self.b else (), self.c)
 
-    def conjugate(self) -> "QuadSurd":
-        return QuadSurd.make(self.a, -self.b, self.c, self.d)
-
     def _coerce(self, other: "QuadSurd | Rational") -> "QuadSurd":
         if isinstance(other, QuadSurd):
             return other
@@ -573,8 +566,9 @@ class QuadSurd:
         norm = o.a * o.a - o.b * o.b * d
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")
-        # 1/o = c*(a - b*sqrt(d))/norm
-        return self * QuadSurd.make(o.c * o.a, -o.c * o.b, norm, d)
+        # self times 1/o = c*(a - b*sqrt(d))/norm, in one make
+        a, b = self.a * o.a - self.b * o.b * d, self.b * o.a - self.a * o.b
+        return QuadSurd.make(o.c * a, o.c * b, self.c * norm, d)
 
     def __rtruediv__(self, other: Rational) -> "QuadSurd":
         return QuadSurd.from_rational(other) / self

@@ -241,6 +241,123 @@ def test_decimal_of_zero_that_is_not_structurally_zero():
     assert (z + Fraction(1, 3)).decimal(5) == "3.3333e-01"
 
 
+# squarefree kernels k, some with a prime above 10^4: then a planted p^2,
+# p > 10^4, stays hidden in the radicand p^2*k (square_free_split leaves it)
+_KERNELS = [2, 3, 6, 10, 10007, 2 * 10009, 3 * 10037, 10039 * 10061]
+_planted_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=-30, max_value=30),
+        st.sampled_from(_KERNELS),
+        st.sampled_from([1, 10007, 10009, 10061]),
+    ),
+    max_size=4,
+)
+
+
+def _planted(c, terms):
+    """c + sum coef*sqrt(p^2*k), and whether its merged form, with the
+    coefficient sum of coef*p for each k, is zero."""
+    merged = {}
+    for coef, k, p in terms:
+        merged[k] = merged.get(k, 0) + coef * p
+    x = RadicalSum(c, [(coef, p * p * k) for coef, k, p in terms])
+    return x, c == 0 and not any(merged.values())
+
+
+def _check_against_oracle(x, is_zero):
+    with mpmath.workdps(500):
+        v = _as_mp(x)
+        if is_zero:
+            assert abs(v) < mpmath.mpf(10) ** -480
+            assert x.sign() == 0 and x.decimal(50) == "0"
+        else:
+            assert abs(v) > mpmath.mpf(10) ** -400
+            assert x.sign() == (1 if v > 0 else -1)
+            assert x.decimal(50) == _mp_decimal(v, 50)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=7), _planted_terms)
+@example(Fraction(0), [(10007, 10007, 1), (-1, 10007, 10007)])  # sqrt(10007^3) cancels
+@example(Fraction(0), [(3, 2 * 10009, 10009), (-1, 2 * 10009, 1), (-3 * 10009, 2 * 10009, 1)])
+@example(Fraction(1, 3), [(10009, 3 * 10037, 1), (-1, 3 * 10037, 10009), (1, 2, 1)])
+def test_planted_square_values_match_oracle(c, terms):
+    x, is_zero = _planted(c, terms)
+    _check_against_oracle(x, is_zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=7),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-30, max_value=30).filter(bool),
+            st.sampled_from(_KERNELS),
+            st.sampled_from([10007, 10009, 10061]),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_zero_from_non_canonical_copy(c, terms):
+    # x' holds coef*sqrt(p^2*k) where x holds coef*p*sqrt(k): x - x' is 0
+    # with up to four radicands, even when no term of it cancels structurally
+    x = RadicalSum(c, [(coef * p, k) for coef, k, p in terms])
+    x_ = RadicalSum(c, [(coef, p * p * k) for coef, k, p in terms])
+    _check_against_oracle(x - x_, True)
+    _check_against_oracle(x - x_ + x, x == RadicalSum(0))
+
+
+def _pow(x, j):
+    acc = RadicalSum(1)
+    for _ in range(j):
+        acc = acc * x
+    return acc
+
+
+# near the separation bound: the four conjugates of 2 - 3*sqrt(2) + sqrt(5)
+# multiply to 1, so it is the reciprocal of the other three, about 1/152;
+# sqrt(2) - 1 and sqrt(5) - 2 are units, for which (one radical term) the
+# exponent 2^m - 1 = 1 is tight
+_NEAR_EXTREMAL = [
+    *(_pow(RadicalSum(2, [(-3, 2), (1, 5)]), j) for j in (1, 2, 3, 5, 8, 13, 20)),
+    *(_pow(RadicalSum(-1, [(1, 2)]), j) for j in (1, 40, 150, 300)),
+    *(_pow(RadicalSum(-2, [(1, 5)]), j) for j in (1, 100, 250)),
+]
+
+
+@pytest.mark.parametrize("x", _NEAR_EXTREMAL, ids=range(len(_NEAR_EXTREMAL)))
+def test_zero_bits_interval_excludes_near_extremal_values(x):
+    lo, hi = x.interval(x._zero_bits())
+    assert lo > 0 or hi < 0
+    _check_against_oracle(x, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=7), _planted_terms)
+def test_zero_bits_interval_excludes_nonzero_values(c, terms):
+    x, is_zero = _planted(c, terms)
+    if x.is_rational or is_zero:
+        return
+    lo, hi = x.interval(x._zero_bits())
+    assert lo > 0 or hi < 0
+
+
+def test_sign_of_hidden_square_zero_needs_no_deep_interval(monkeypatch):
+    n = 5 * 4010488**2 + 4  # 10007^2 * (n / 10007^2), left unsplit
+    z = RadicalSum(0, [(1, n), (-10007, n // 10007**2)])
+    seen = []
+    interval = RadicalSum.interval
+
+    def recording(self, bits):
+        seen.append(bits)
+        return interval(self, bits)
+
+    monkeypatch.setattr(RadicalSum, "interval", recording)
+    assert z.sign() == 0
+    assert seen and max(seen) <= 128
+
+
 def test_radical_sum_is_immutable():
     r = RadicalSum(1, [(2, 3)])
     for name in ("c0", "terms", "den", "other"):
@@ -357,7 +474,6 @@ def test_field_axioms(rng):
         assert ((x + y) - y - x).sign() == 0
         if y.sign() != 0:
             assert (x / y * y - x).sign() == 0
-        assert ((x * y).conjugate() - x.conjugate() * y.conjugate()).sign() == 0
 
 
 def test_pow_matches_repeated_multiplication():
