@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import RadicalSum
+from .exact import RadicalSum, square_free_split
 
 __all__ = [
     "BOUND_KINDS",
@@ -82,10 +82,15 @@ def f_value(k: int, q: int) -> RadicalSum:
 
 
 def _refined_rhs(k: int, q: int) -> RadicalSum:
+    # (s1 sqrt(k1) - q s2 sqrt(k2)) / (2q) in one _make; k2 > 1 because
+    # k^2 + 4 is never a square, while d q^2 + 4 can be one (d = 5, q = 1)
     d = k * k + 4
-    return RadicalSum(
-        0, [(Fraction(1, 2 * q), d * q * q + 4), (Fraction(-1, 2), d)]
-    )
+    s1, k1 = square_free_split(d * q * q + 4)
+    s2, k2 = square_free_split(d)
+    pairs = [(k2, -q * s2)]
+    if k1 == 1:
+        return RadicalSum._make(s1, pairs, 2 * q)
+    return RadicalSum._make(0, [(k1, s1), *pairs], 2 * q)
 
 
 def bound_rhs(spec: BoundSpec, q: int) -> RadicalSum:

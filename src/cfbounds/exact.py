@@ -16,6 +16,9 @@ rounded outward to neighbouring integers with ``isqrt``, and the working
 precision doubles until the interval excludes zero or reaches the value's
 separation bound (:meth:`RadicalSum._zero_bits`; Burnikel, Funke, Mehlhorn,
 Schirra and Schmitt, Algorithmica 55, 2009), where it proves the value zero.
+After a first try at 64 bits the precision jumps to the bit length of the
+largest term.  The deciding interval is kept on the object, so
+:meth:`RadicalSum.decimal` renders from it with at most one more interval.
 """
 from __future__ import annotations
 
@@ -134,7 +137,7 @@ class RadicalSum:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_c", "_t", "den")
+    __slots__ = ("_c", "_t", "den", "_enc")  # _enc: see _enclose
 
     def __init__(self, c0: Rational = 0, terms: Iterable[tuple[Rational, int]] = ()):
         c0 = _rational(c0)
@@ -326,6 +329,10 @@ class RadicalSum:
                 hi -= s
         return lo, hi
 
+    def _term_bits(self) -> int:
+        """Bit length of the largest radical term: max bitlen(n) + ceil(bitlen(r)/2)."""
+        return max(n.bit_length() + (r.bit_length() + 1) // 2 for r, n in self._t)
+
     def _zero_bits(self) -> int:
         """Bits at which an interval that holds zero proves the value zero.
 
@@ -341,17 +348,51 @@ class RadicalSum:
         make a flipped conjugate vanish when two radicands share a squarefree
         part; the argument then applies to the merged form, with m' < m terms
         and S' < 2S, and (2S)^(2^m' - 1) <= S^(2^m - 1) for S >= 2.  Here
-        bitlen(S) <= top + bitlen(m + 1), with top the largest of bitlen(c)
-        and bitlen(n_i) + ceil(bitlen(r_i)/2).
+        bitlen(S) <= top + bitlen(m + 1), with top the larger of bitlen(c)
+        and :meth:`_term_bits`.
         """
         m = len(self._t)
         w = (m + 1).bit_length()
-        top = max(n.bit_length() + (r.bit_length() + 1) // 2 for r, n in self._t)
-        return ((1 << m) - 1) * (max(top, self._c.bit_length()) + w) + w + 1
+        return ((1 << m) - 1) * (max(self._term_bits(), self._c.bit_length()) + w) + w + 1
+
+    def _enclose(self, bits: int) -> tuple[int, int, int] | None:
+        """The first ``(bits, lo, hi)`` of ``interval`` that excludes zero, or
+        None once an interval holds zero at or above :meth:`_zero_bits`.
+
+        The ladder starts at ``bits`` (a rung 64*2^i) and doubles, but when
+        the first rung fails it jumps to the first rung at or above
+        :meth:`_term_bits`: below that every rung costs an ``isqrt`` nearly as
+        long as the one that decides.  The answer is kept in a slot, so
+        ``sign`` and ``decimal`` of one object climb the ladder once; later
+        calls return it whatever their ``bits``.
+        """
+        try:
+            return self._enc
+        except AttributeError:
+            pass
+        cap = top = 0
+        while True:
+            lo, hi = self.interval(bits)
+            if lo > 0 or hi < 0:
+                enc = bits, lo, hi
+                break
+            if not cap:
+                cap, top = self._zero_bits(), self._term_bits()
+            if bits >= cap:
+                enc = None
+                break
+            bits *= 2
+            while bits < top:
+                bits *= 2
+        object.__setattr__(self, "_enc", enc)
+        return enc
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}: ``interval`` at 64, 128, ... bits up to
-        the first rung at or above :meth:`_zero_bits`, where zero is proven."""
+        """Exact sign in {-1, 0, +1}.
+
+        A rational or one-radical value is decided by one comparison; any
+        other by :meth:`_enclose` from 64 bits, where None proves zero.
+        """
         if not self._t:
             return _sgn(self._c)
         if len(self._t) == 1:
@@ -361,45 +402,58 @@ class RadicalSum:
             if c == 0 or (c > 0) == (n > 0):
                 return _sgn(n)
             return _sgn(c) * _sgn(c * c - n * n * r)
-        bits, cap = 64, 0
-        while True:
-            lo, hi = self.interval(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if bits >= (cap := cap or self._zero_bits()):
-                return 0
-            bits *= 2
+        enc = self._enclose(64)
+        return 0 if enc is None else (1 if enc[1] > 0 else -1)
 
     # -- rendering
 
     def decimal(self, significant: int = 50) -> str:
         """Correctly rounded decimal string with ``significant`` digits.
 
-        Zero renders as "0"; everything else as d.dd...e<exp> (round half
-        to even; for irrational values no tie can occur, for rational ones
-        the tie is resolved exactly).  The interval ladder starts at 256
-        bits and accepts the first interval that excludes zero and whose
-        endpoints round to the same digits; one that holds zero at or above
-        :meth:`_zero_bits` proves the value zero, structurally or not.
+        Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
+        one digit), rounded half to even.  The digits come from the
+        enclosure :meth:`sign` uses (:meth:`_enclose`, started at the first
+        rung that can hold the digits if no sign was taken), plus one
+        interval at the bits its shorter endpoint lacks.  If the endpoints
+        round to adjacent strings, the exact sign of the value minus the
+        rational midpoint between them picks one, and a value on the
+        midpoint (a rational held with cancelling radicals) takes the even
+        one.  Only endpoints that round further apart double the precision.
         """
         if not self._t:
-            return _decimal_of_ratio(self._c, self.den, significant)
-        bits, cap = 256, 0
-        while True:
-            lo, hi = self.interval(bits)
-            if lo > 0 or hi < 0:
-                scale = self.den << bits
-                a = _decimal_of_ratio(lo, scale, significant)
-                if a == _decimal_of_ratio(hi, scale, significant):
-                    return a
-            elif bits >= (cap := cap or self._zero_bits()):
+            if not self._c:
                 return "0"
-            # a rational value held with radicals can sit on a rounding tie
-            if bits > (1 << 20):
-                raise UnsupportedExpressionError("decimal rendering did not settle")
+            bits, lo, hi = 0, self._c, self._c
+        else:
+            # endpoints this long make the m units of width less than 2^-63
+            # of one step in the last digit
+            need = (10**significant).bit_length() + len(self._t).bit_length() + 64
+            bits = 64
+            while bits < need:
+                bits *= 2
+            enc = self._enclose(bits)
+            if enc is None:
+                return "0"
+            bits, lo, hi = enc
+            short = need - min(abs(lo), abs(hi)).bit_length()
+            if short > 0:
+                bits += short
+                lo, hi = self.interval(bits)
+        while True:
+            neg = hi < 0
+            e, a, b = _round_pair(-hi if neg else lo, -lo if neg else hi, self.den << bits, significant)
+            if b - a <= 1:
+                break
             bits *= 2
+            lo, hi = self.interval(bits)
+        if b > a and a < 10**significant:
+            # lo and hi straddle the midpoint t between a and b
+            k = significant - 1 - e
+            t = Fraction((2 * a + 1) * 10 ** max(0, -k), 2 * 10 ** max(0, k))
+            side = -(self + t).sign() if neg else (self - t).sign()
+            if side > 0 or (side == 0 and a & 1):
+                a = b
+        return _format_decimal(neg, a, e, significant)
 
     def __repr__(self) -> str:
         parts = [str(self.c0)] if self._c or not self._t else []
@@ -420,31 +474,37 @@ def _pick_split_prime(rads: list[int]) -> int:
     return rads[0]
 
 
-def _decimal_of_ratio(n: int, d: int, significant: int) -> str:
-    """n/d (d > 0) rounded half to even to ``significant`` digits."""
-    if n == 0:
-        return "0"
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    # exponent e with 10^e <= n/d < 10^(e+1), from a bit-length estimate
-    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    while n * 10 ** max(0, -e) < d * 10 ** max(0, e):
+def _round_pair(x: int, y: int, d: int, significant: int) -> tuple[int, int, int]:
+    """(e, a, b) for 0 < x <= y and d > 0: 10^e <= x/d < 10^(e+1), and a and b
+    are x/d and y/d times 10^(significant - 1 - e), rounded half to even."""
+    # exponent e from a bit-length estimate
+    e = (x.bit_length() - d.bit_length()) * 30103 // 100000
+    while x * 10 ** max(0, -e) < d * 10 ** max(0, e):
         e -= 1
-    while n * 10 ** max(0, -(e + 1)) >= d * 10 ** max(0, e + 1):
+    while x * 10 ** max(0, -(e + 1)) >= d * 10 ** max(0, e + 1):
         e += 1
     shift = significant - 1 - e
     if shift >= 0:
-        n *= 10**shift
+        x, y = x * 10**shift, y * 10**shift
     else:
         d *= 10**-shift
-    digits, rem = divmod(n, d)
-    if 2 * rem > d or (2 * rem == d and digits & 1):
-        digits += 1
+    a = _round_half_even(x, d)
+    return e, a, a if y == x else _round_half_even(y, d)
+
+
+def _round_half_even(n: int, d: int) -> int:
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
+def _format_decimal(neg: bool, digits: int, e: int, significant: int) -> str:
+    """-digits*10^(e - significant + 1) if neg, else +, as d.dd...e<exp>."""
     if digits == 10**significant:  # rounding rolled over, e.g. 999->1000
         digits //= 10
         e += 1
     ds = str(digits)
-    return f"{sign}{ds[0]}.{ds[1:]}e{e:+03d}"
+    mantissa = f"{ds[0]}.{ds[1:]}" if significant > 1 else ds
+    return f"{'-' if neg else ''}{mantissa}e{e:+03d}"
 
 
 def radical_sign(s: RadicalSum) -> int:
@@ -527,15 +587,18 @@ class QuadSurd:
 
     # -- field arithmetic
 
-    def __add__(self, other: "QuadSurd | Rational") -> "QuadSurd":
+    def _add(self, other: "QuadSurd | Rational", sign: int) -> "QuadSurd":
         o = self._coerce(other)
         d = self._common_d(o)
         return QuadSurd.make(
-            self.a * o.c + o.a * self.c,
-            self.b * o.c + o.b * self.c,
+            self.a * o.c + sign * o.a * self.c,
+            self.b * o.c + sign * o.b * self.c,
             self.c * o.c,
             d,
         )
+
+    def __add__(self, other: "QuadSurd | Rational") -> "QuadSurd":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -543,7 +606,7 @@ class QuadSurd:
         return QuadSurd(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other: "QuadSurd | Rational") -> "QuadSurd":
-        return self + (-self._coerce(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other: Rational) -> "QuadSurd":
         return (-self) + other

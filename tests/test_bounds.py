@@ -1,4 +1,6 @@
 """Unit tests for the approximation-bound right-hand sides."""
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,29 @@ def test_hancl_nair_closed_form_equals_inverse():
 @given(st.integers(min_value=1, max_value=10**40))
 def test_hancl_nair_closed_form_equals_inverse_at_large_q(q):
     assert bound_rhs(BoundSpec("hancl_nair"), q) == _hancl_nair_by_inverse(q)
+
+
+def _refined_by_constructor(k, q):
+    # the public constructor route the one-_make closed form replaces
+    return RadicalSum(0, [(Fraction(1, 2 * q), (k * k + 4) * q * q + 4), (Fraction(-1, 2), k * k + 4)])
+
+
+def _fields(r: RadicalSum):
+    return r._c, r._t, r.den
+
+
+def test_refined_closed_form_equals_constructor():
+    # k = 1, q = 1 gives the perfect square 5 + 4 = 9, whose root is the constant
+    assert _refined_rhs(1, 1).c0 == Fraction(3, 2)
+    for k in range(1, 41):
+        for q in range(1, 301):
+            assert _fields(_refined_rhs(k, q)) == _fields(_refined_by_constructor(k, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10**40))
+def test_refined_closed_form_equals_constructor_at_large_q(k, q):
+    assert _fields(_refined_rhs(k, q)) == _fields(_refined_by_constructor(k, q))
 
 
 def test_requires_k_for_parametric_bounds():

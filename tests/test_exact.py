@@ -1,7 +1,9 @@
 """Unit tests for the exact-arithmetic layer."""
 import copy
+import io
 import pickle
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from cfbounds import exact
 from cfbounds.bounds import BoundSpec
+from cfbounds.cli import main
 from cfbounds.exact import (
     MixedFieldError,
     QuadSurd,
@@ -410,6 +413,153 @@ def test_deep_cancellation_margins_match_oracle():
             assert margin.decimal(50) == _mp_decimal(v, 50)
 
 
+def _hidden_square_zero() -> RadicalSum:
+    """sqrt(n) - 10007*sqrt(n/10007^2): zero, with n = 5*4010488^2 + 4 left unsplit."""
+    n = 5 * 4010488**2 + 4
+    return RadicalSum(0, [(1, n), (-10007, n // 10007**2)])
+
+
+@pytest.mark.parametrize(
+    "q, significant, expected",
+    [
+        (Fraction(1, 4), 1, "2e-01"),
+        (Fraction(-1, 4), 1, "-2e-01"),
+        (Fraction(1, 8), 2, "1.2e-01"),
+        (Fraction(3, 8), 2, "3.8e-01"),
+        (Fraction(-3, 8), 2, "-3.8e-01"),
+    ],
+)
+def test_decimal_of_rational_tie_held_with_radicals(q, significant, expected):
+    # the value sits exactly on a rounding midpoint, which no interval excludes
+    x = _hidden_square_zero() + q
+    assert len(x.terms) == 2
+    start = time.perf_counter()
+    got = x.decimal(significant)
+    assert time.perf_counter() - start < 1
+    assert got == expected == RadicalSum(q).decimal(significant)
+
+
+def _fraction_decimal(x: Fraction, significant: int) -> str:
+    """x rounded half to even to ``significant`` digits, in Fraction arithmetic."""
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    e = 0
+    while x >= Fraction(10) ** (e + 1):
+        e += 1
+    while x < Fraction(10) ** e:
+        e -= 1
+    digits = round(x / Fraction(10) ** (e - significant + 1))  # round() of a Fraction is half-even
+    if digits == 10**significant:
+        digits //= 10
+        e += 1
+    ds = str(digits)
+    mantissa = ds if significant == 1 else f"{ds[0]}.{ds[1:]}"
+    return f"{sign}{mantissa}e{e:+03d}"
+
+
+@st.composite
+def _decimal_cases(draw):
+    """(significant, x) with x anywhere, on an exact tie, or rounding up to a power of 10."""
+    significant = draw(st.integers(min_value=1, max_value=60))
+    scale = Fraction(10) ** draw(st.integers(min_value=-40, max_value=40))
+    kind = draw(st.sampled_from(["any", "tie", "rollover"]))
+    if kind == "any":
+        x = Fraction(draw(st.integers(1, 10**70)), draw(st.integers(1, 10**70)))
+    elif kind == "tie":
+        digits = draw(st.integers(10 ** (significant - 1), 10**significant - 1))
+        x = (digits + Fraction(1, 2)) * scale
+    else:  # 10^s - 1/j rounds to 10^s; j = 2 is a tie that rounds up from an odd 99...9
+        x = (10**significant - Fraction(1, draw(st.integers(2, 10**6)))) * scale
+    return significant, draw(st.sampled_from([1, -1])) * x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decimal_cases())
+@example((1, Fraction(1, 4)))
+@example((1, Fraction(19, 2)))  # 9.5 -> 1e+01
+@example((3, Fraction(-9995, 1000)))
+def test_decimal_rounds_half_to_even(case):
+    significant, x = case
+    expected = _fraction_decimal(x, significant)
+    assert RadicalSum(x).decimal(significant) == expected
+    # the same value held with two radicals that cancel, so an interval sees it
+    assert (_hidden_square_zero() + x).decimal(significant) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-(2**53), max_value=2**53).filter(bool),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=60),
+)
+@example(1, -2, 1)  # 0.25 -> 2e-01
+def test_decimal_matches_float_formatting(m, j, significant):
+    # every binary64 value is a dyadic rational that Python formats correctly rounded
+    x = m * Fraction(2) ** j
+    assert RadicalSum(x).decimal(significant) == format(float(x), f".{significant - 1}e")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-20, max_value=20, max_denominator=1000),
+            st.integers(min_value=2, max_value=500),
+        ),
+        max_size=4,
+    ),
+)
+def test_sign_and_decimal_share_one_enclosure(c0, terms):
+    with mpmath.workdps(300):
+        v = _as_mp(RadicalSum(c0, terms))
+        if abs(v) < mpmath.mpf(10) ** -250:
+            sign, dec = 0, "0"
+        else:
+            sign, dec = (1 if v > 0 else -1), _mp_decimal(v, 50)
+    first_sign = RadicalSum(c0, terms)
+    assert first_sign.sign() == sign and first_sign.decimal(50) == dec
+    first_decimal = RadicalSum(c0, terms)
+    assert first_decimal.decimal(50) == dec and first_decimal.sign() == sign
+    # copies hold the value, not the enclosure, and stay equal to the original
+    for fresh in (copy.deepcopy(first_sign), pickle.loads(pickle.dumps(first_decimal))):
+        assert fresh == first_sign and hash(fresh) == hash(first_sign)
+        assert fresh.decimal(50) == dec and fresh.sign() == sign
+    assert first_sign.sign() == sign and first_decimal.decimal(50) == dec
+
+
+def test_verify_takes_one_enclosure_per_margin(monkeypatch):
+    # sign climbs the ladder once; decimal(50) reuses it plus at most one interval
+    seen = []
+    signs = [0]
+    interval, sign = RadicalSum.interval, RadicalSum.sign
+
+    def recording_interval(self, bits):
+        seen.append((bits, signs[0] > 0))
+        return interval(self, bits)
+
+    def recording_sign(self):
+        signs[0] += 1
+        try:
+            return sign(self)
+        finally:
+            signs[0] -= 1
+
+    argv = ["verify", "surd:(3+2*sqrt(7))/5", "--bound", "refined_f", "--k", "2", "--n", "200"]
+    monkeypatch.setattr(RadicalSum, "interval", recording_interval)
+    monkeypatch.setattr(RadicalSum, "sign", recording_sign)
+    assert main(argv, out=io.StringIO()) == 0
+    monkeypatch.undo()
+    records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), 200)
+    irrational = sum(not r.margin.is_rational for r in records)
+    assert irrational == 201
+    assert len(seen) <= 3 * irrational
+    ladder = {64 << i for i in range(9)}  # 64 .. 16384
+    assert {bits for bits, in_sign in seen if in_sign} <= ladder
+
+
 _huge_fraction = st.builds(
     Fraction,
     st.integers(min_value=-(2**2000), max_value=2**2000),
@@ -474,6 +624,22 @@ def test_field_axioms(rng):
         assert ((x + y) - y - x).sign() == 0
         if y.sign() != 0:
             assert (x / y * y - x).sign() == 0
+
+
+_surd_parts = st.tuples(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_surd_parts, _surd_parts, st.sampled_from([2, 3, 5, 8, 12, 50, 10007 * 3]), _huge_fraction)
+def test_surd_subtraction_equals_adding_the_negation(x, y, d, f):
+    a, b = QuadSurd.make(*x, d), QuadSurd.make(*y, d)
+    # dataclass equality compares a, b, c, d: field for field
+    assert a - b == a + (-b)
+    assert a - f == a + (-QuadSurd.from_rational(f))
 
 
 def test_pow_matches_repeated_multiplication():
