@@ -24,11 +24,9 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
-from .bounds import BOUND_KINDS, BoundSpec, Outcome
-from .cf import IdentityMismatch, convergents
-from .exact import RadicalSum
+from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec, Outcome
+from .cf import CFExpansion, IdentityMismatch, convergents
 from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, render
 from .verify import (
     LEMMA_IDS,
@@ -44,8 +42,6 @@ from .verify import (
 )
 
 __all__ = ["main"]
-
-_K_BOUNDS = ("nathanson", "refined_f")
 
 _FIELDS = {
     "expand": ["input", "command", "cf", "exact"],
@@ -67,17 +63,6 @@ _FIELDS = {
 }
 
 
-def _margin_fields(margin: RadicalSum) -> tuple[int, str]:
-    return margin.sign(), margin.decimal(50)
-
-
-def _exact_text(spec: NumberSpec) -> str:
-    value, _ = _coerced(spec)
-    if isinstance(value, Fraction):
-        return f"rat:{value.numerator}/{value.denominator}"
-    return f"surd:({value.a}{value.b:+d}*sqrt({value.d}))/{value.c}"
-
-
 def _coerced(spec: NumberSpec):
     v = spec.parsed
     if isinstance(v, DecPrefix):
@@ -85,9 +70,28 @@ def _coerced(spec: NumberSpec):
     return coerce_number(v)
 
 
-def _require_exact(spec: NumberSpec, command: str) -> None:
+def _exact_input(spec: NumberSpec, command: str):
+    """(value, cf) of a spec that a theorem claim may use; dec: is refused."""
     if not spec.is_exact:
         raise SpecParseError(f"dec: inputs carry finite precision; {command} needs an exact value")
+    return coerce_number(spec.parsed)
+
+
+def _applicable(cf: CFExpansion, bound: str, k) -> bool:
+    """The theorem's hypothesis: x irrational, and for the bounds that take k,
+    infinitely many partial quotients >= k."""
+    return not cf.is_finite and (bound not in _NEEDS_K or nathanson_applicable(cf, k))
+
+
+def _detail_rows(base: dict, records) -> list[dict]:
+    return [
+        {
+            **base, "type": "detail", "n": r.n, "p": r.p, "q": r.q,
+            "outcome": r.outcome.value, "margin_sign": r.margin_sign,
+            "margin_decimal_50": r.margin.decimal(50),
+        }
+        for r in records
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +100,12 @@ def _require_exact(spec: NumberSpec, command: str) -> None:
 
 def _cmd_expand(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    _, cf = _coerced(spec)
+    value, cf = _coerced(spec)
     row = {
         "input": render(spec),
         "command": "expand",
         "cf": cf.render(),
-        "exact": _exact_text(spec) if spec.is_exact else None,
+        "exact": render(value) if spec.is_exact else None,
     }
     return [row], True
 
@@ -118,55 +122,25 @@ def _cmd_convergents(args) -> tuple[list[dict], bool]:
 
 def _cmd_verify(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    _require_exact(spec, "verify")
-    bspec = BoundSpec(args.bound, args.k)
-    value, cf = _coerced(spec)
-    records = verify_bound_scan(value, bspec, args.n)
-    rows = []
-    for r in records:
-        sign, dec = r.margin_sign, r.margin.decimal(50)
-        rows.append({
-            "input": render(spec),
-            "command": "verify",
-            "bound": args.bound,
-            "k": args.k,
-            "n": r.n,
-            "p": r.p,
-            "q": r.q,
-            "outcome": r.outcome.value,
-            "margin_sign": sign,
-            "margin_decimal_50": dec,
-        })
-    ok = True
-    if not cf.is_finite and (
-        args.bound not in _K_BOUNDS or nathanson_applicable(value, args.k)
-    ):
-        ok = any(r.outcome is not Outcome.FAILS for r in records)
-    return rows, ok
+    value, cf = _exact_input(spec, "verify")
+    records = verify_bound_scan(value, BoundSpec(args.bound, args.k), args.n)
+    base = {"input": render(spec), "command": "verify", "bound": args.bound, "k": args.k}
+    ok = not _applicable(cf, args.bound, args.k) or any(r.margin_sign <= 0 for r in records)
+    return _detail_rows(base, records), ok
 
 
 def _cmd_classify(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    _require_exact(spec, "classify-equality")
-    value, cf = _coerced(spec)
+    value, cf = _exact_input(spec, "classify-equality")
     if cf.is_finite:
         raise SpecParseError("classify-equality needs an irrational input")
     records = verify_bound_scan(value, BoundSpec("refined_f", args.k), args.n)
     base = {"input": render(spec), "command": "classify-equality", "k": args.k}
-    rows = []
-    for r in records:
-        rows.append({
-            **base, "type": "detail", "n": r.n, "p": r.p, "q": r.q,
-            "outcome": r.outcome.value, "margin_sign": r.margin_sign,
-            "margin_decimal_50": r.margin.decimal(50),
-            "equality_class": None, "equal_indices": None,
-        })
-    equal_ns = [r.n for r in records if r.outcome is Outcome.HOLDS_EQUAL]
+    rows = _detail_rows(base, records)
     rows.append({
-        **base, "type": "summary", "n": None, "p": None, "q": None,
-        "outcome": None, "margin_sign": None, "margin_decimal_50": None,
+        **base, "type": "summary",
         "equality_class": classify_equality(value, args.k),
-        "equal_indices": equal_ns,
+        "equal_indices": [r.n for r in records if r.margin_sign == 0],
     })
     return rows, True
 
@@ -187,15 +161,14 @@ def _cmd_lemmas(args) -> tuple[list[dict], bool]:
                 continue
             params = {"depth": args.depth} if lemma.startswith("R") else {}
             holds, margin = check_lemma(LemmaInstance(lemma, k, params))
-            sign, dec = _margin_fields(margin)
             rows.append({
                 "command": "lemmas",
                 "lemma": lemma,
                 "k": k,
                 "depth": args.depth if lemma.startswith("R") else None,
                 "holds": holds,
-                "margin_sign": sign,
-                "margin_decimal_50": dec,
+                "margin_sign": margin.sign(),
+                "margin_decimal_50": margin.decimal(50),
             })
             ok = ok and holds
     return rows, ok
@@ -203,8 +176,7 @@ def _cmd_lemmas(args) -> tuple[list[dict], bool]:
 
 def _cmd_classical(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    _require_exact(spec, "classical")
-    value, cf = _coerced(spec)
+    value, cf = _exact_input(spec, "classical")
     if cf.is_finite:
         raise SpecParseError("classical window rules need an irrational input")
     holds = classical_window_check(value, args.rule, args.n)
@@ -229,13 +201,10 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
         if not text:
             continue
         spec = parse_number(text)
-        _require_exact(spec, "report")
-        value, cf = _coerced(spec)
+        value, cf = _exact_input(spec, "report")
         depth = min(args.n, len(cf) - 1) if cf.is_finite else args.n
         records = verify_bound_scan(value, bspec, depth)
-        applicable = not cf.is_finite and (
-            args.bound not in _K_BOUNDS or nathanson_applicable(value, args.k)
-        )
+        applicable = _applicable(cf, args.bound, args.k)
         counts = {o: 0 for o in Outcome}
         for r in records:
             counts[r.outcome] += 1
@@ -315,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical", help="window checks for the classical refinements")
     p.add_argument("number")
-    p.add_argument("--rule", choices=("vahlen_pairs", "borel_triples", "hancl_nair_triples"),
-                   required=True)
+    p.add_argument("--rule", choices=tuple(_WINDOW_RULES), required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("report", help="summary scan over a corpus file of number specs")
@@ -343,9 +311,9 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out or sys.stdout
-    if args.command in ("verify", "report") and args.bound in _K_BOUNDS and args.k is None:
+    if args.command in ("verify", "report") and args.bound in _NEEDS_K and args.k is None:
         parser.error(f"--bound {args.bound} requires --k")
-    if args.command == "classify-equality" or getattr(args, "bound", None) in _K_BOUNDS:
+    if args.command == "classify-equality" or getattr(args, "bound", None) in _NEEDS_K:
         if args.k < 1:
             parser.error("--k must be >= 1")
     if getattr(args, "n", 0) < 0:
@@ -358,9 +326,6 @@ def main(argv=None, out=None) -> int:
             parser.error(f"--rule {args.rule} needs --n >= {width - 1} to check one window")
     try:
         rows, ok = _HANDLERS[args.command](args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -138,9 +138,10 @@ def _positive_quotient(item: str, pos: int) -> int:
     return int(item)
 
 
-def render(spec: NumberSpec) -> str:
-    """Canonical text; reparsing yields an equal parsed value."""
-    v = spec.parsed
+def render(spec: Union[NumberSpec, ParsedValue]) -> str:
+    """Canonical text of a spec or of a parsed value; reparsing yields an
+    equal parsed value."""
+    v = spec.parsed if isinstance(spec, NumberSpec) else spec
     if isinstance(v, Fraction):
         return f"rat:{v.numerator}/{v.denominator}"
     if isinstance(v, QuadSurd):

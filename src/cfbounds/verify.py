@@ -46,16 +46,19 @@ NumberInput = Union[int, Fraction, QuadSurd, CFExpansion]
 
 @dataclass(frozen=True)
 class VerificationRecord:
+    """Convergent n, p/q against a bound: ``margin`` is |x - p/q| minus the
+    threshold, exactly, and ``outcome`` is read off ``margin_sign``."""
+
     n: int
     p: int
     q: int
-    outcome: Outcome
     margin_sign: int
     margin: RadicalSum
 
-    def __post_init__(self):
-        if (self.margin_sign == 0) != (self.outcome is Outcome.HOLDS_EQUAL):
-            raise ValueError("outcome and margin_sign are inconsistent")
+    @property
+    def outcome(self) -> Outcome:
+        s = self.margin_sign
+        return Outcome.HOLDS_STRICT if s < 0 else Outcome.HOLDS_EQUAL if s == 0 else Outcome.FAILS
 
 
 def coerce_number(x: NumberInput) -> tuple[Union[Fraction, QuadSurd], CFExpansion]:
@@ -88,11 +91,7 @@ def verify_bound_scan(
     for conv in convergents(cf, n_max):
         err = _error_term(value, conv.p, conv.q)
         margin = err - bound_rhs(spec, conv.q)
-        s = radical_sign(margin)
-        outcome = (
-            Outcome.HOLDS_STRICT if s < 0 else Outcome.HOLDS_EQUAL if s == 0 else Outcome.FAILS
-        )
-        records.append(VerificationRecord(conv.n, conv.p, conv.q, outcome, s, margin))
+        records.append(VerificationRecord(conv.n, conv.p, conv.q, radical_sign(margin), margin))
     return records
 
 
@@ -112,7 +111,7 @@ def is_in_F(x: NumberInput, k: int) -> bool:
 
 
 def _period_of(x: NumberInput) -> Optional[tuple[int, ...]]:
-    _, cf = coerce_number(x)
+    cf = x if isinstance(x, CFExpansion) else coerce_number(x)[1]
     return cf.period
 
 
@@ -319,10 +318,7 @@ def classical_window_check(x: NumberInput, rule: str, n_max: int) -> bool:
     value, cf = coerce_number(x)
     if cf.is_finite:
         raise ValueError("rule requires an irrational input")
-    hits = []
-    for conv in convergents(cf, n_max):
-        err = _error_term(value, conv.p, conv.q)
-        hits.append(radical_sign(err - bound_rhs(spec, conv.q)) < 0)
+    hits = [r.margin_sign < 0 for r in verify_bound_scan(value, spec, n_max)]
     return all(
         any(hits[i : i + width]) for i in range(0, n_max - width + 2)
     )

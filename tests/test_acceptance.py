@@ -258,6 +258,8 @@ CLI_MATRIX = [
     (["convergents", "surd:(0+1*sqrt(2))/1", "--n", "5"], 0),
     (["verify", "surd:(-1+1*sqrt(5))/2", "--bound", "refined_f", "--k", "1", "--n", "9"], 0),
     (["verify", "cf:[0;(2)]", "--bound", "hurwitz", "--n", "10"], 0),
+    # all three convergents fail and the period holds a 3 >= k: the claim fails
+    (["verify", "cf:[0;1,1,1,1,(3)]", "--bound", "refined_f", "--k", "3", "--n", "2"], 1),
     (["--format", "csv", "convergents", "rat:355/113", "--n", "2"], 0),
     (["classify-equality", "surd:(0+1*sqrt(2))/1", "--k", "2", "--n", "10"], 0),
     (["lemmas", "--k-range", "2..4"], 0),

@@ -154,6 +154,21 @@ def test_report_corpus(tmp_path):
     assert [r["applicable"] for r in rows] == [True, False, True]
 
 
+@pytest.mark.parametrize("k, code", [(3, 1), (4, 0)])
+def test_claim_fails_only_where_nathanson_applies(tmp_path, k, code):
+    # every convergent up to n = 2 fails; the period (3) has a quotient >= 3, not >= 4
+    spec = "cf:[0;1,1,1,1,(3)]"
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(spec + "\n")
+    flags = ["--bound", "refined_f", "--k", str(k), "--n", "2"]
+    got, out = run_cli(["report", "--corpus", str(corpus), *flags])
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert got == code and row["applicable"] is (k == 3) and row["fails"] == 3
+    got, out = run_cli(["verify", spec, *flags])
+    assert got == code
+    assert [json.loads(line)["outcome"] for line in out.splitlines()] == ["Fails"] * 3
+
+
 def test_report_clamps_rational_lines_to_their_last_convergent(tmp_path):
     # report scans a rational line only up to its last convergent, while
     # verify rejects a depth past it
@@ -184,6 +199,17 @@ def test_csv_has_header():
     assert code == 0
     assert lines[0] == "input,command,n,p,q"
     assert len(lines) == 4
+
+
+def test_classify_csv_rows():
+    code, out = run_cli(
+        ["--format", "csv", "classify-equality", "surd:(0+1*sqrt(2))/1", "--k", "2", "--n", "4"]
+    )
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 7
+    assert lines[0] == ",".join(cli._FIELDS["classify-equality"])
+    assert all(line.split(",")[2] == "detail" and line.endswith(",,") for line in lines[1:-1])
+    assert lines[-1] == "surd:(0+1*sqrt(2))/1,classify-equality,summary,2,,,,,,,alpha1,1;3"
 
 
 def test_reruns_are_byte_identical():

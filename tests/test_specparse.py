@@ -48,7 +48,7 @@ def test_parse_cf_with_head_and_period():
 def test_whitespace_insensitive():
     a = parse_number("surd:( -1 + 1 * sqrt( 5 ) ) / 2")
     b = parse_number("surd:(-1+1*sqrt(5))/2")
-    assert render(a) == render(b)
+    assert render(a) == render(b) == render(b.parsed)
 
 
 @pytest.mark.parametrize(
