@@ -143,25 +143,29 @@ def _to_pqd(x: QuadSurd) -> tuple[int, int, int]:
 
 
 def expand_surd(x: QuadSurd) -> CFExpansion:
-    """Canonical eventually periodic expansion of a quadratic irrational."""
+    """Canonical eventually periodic expansion of a quadratic irrational.
+
+    The (P, Q) recurrence runs from x itself, so digit 0 is a0.  A state
+    determines its tail, so the first state seen twice starts the minimal
+    period after the shortest head; x's own state is not recorded, because
+    a0 never starts the period (a purely periodic x repeats from x_1).
+    """
     if x.is_rational:
         raise ValueError("rational input: use expand_rational")
-    a0 = x.floor()
-    x1 = 1 / (x - a0)
-    p, q, d = _to_pqd(x1)
-    # (p, q) determines the tail (p + sqrt(d))/q, so the first repeated
-    # state starts the minimal period after the shortest head
+    p, q, d = _to_pqd(x)
     s = isqrt(d)
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    while (p, q) not in seen:
-        seen[(p, q)] = len(digits)
+    while True:
         a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
         digits.append(a)
         p = a * q - p
         q = (d - p * p) // q
-    start = seen[(p, q)]
-    return CFExpansion(a0, tuple(digits[:start]), tuple(digits[start:]))
+        if (p, q) in seen:
+            break
+        seen[p, q] = len(digits)
+    start = seen[p, q]
+    return CFExpansion(digits[0], tuple(digits[1:start]), tuple(digits[start:]))
 
 
 def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
@@ -232,16 +236,22 @@ def reversed_tail(cf: CFExpansion, n: int) -> Fraction:
     return v
 
 
+def _error_term(value: Union[Fraction, QuadSurd], p: int, q: int) -> RadicalSum:
+    if isinstance(value, Fraction):
+        return RadicalSum(abs(value - Fraction(p, q)))
+    # (a + b sqrt(d))/c - p/q = (aq - pc + bq sqrt(d))/(cq)
+    err = RadicalSum._make(value.a * q - p * value.c, [(value.d, value.b * q)], value.c * q)
+    return -err if err.sign() < 0 else err
+
+
 def error_identity(x: QuadSurd, cf: CFExpansion, n: int) -> RadicalSum:
-    """|x - p_n/q_n| computed directly and via the tail identity.
+    """|x - p_n/q_n| computed directly, as the scan does, and via the tail identity.
 
     Both routes are evaluated exactly; a mismatch raises
     :class:`IdentityMismatch`.
     """
     conv = convergents(cf, n)[-1]
-    direct = x.to_radical() - Fraction(conv.p, conv.q)
-    if direct.sign() < 0:
-        direct = -direct
+    direct = _error_term(x, conv.p, conv.q)
     denom = (tail_value(cf, n) + reversed_tail(cf, n)) * (conv.q * conv.q)
     via_tail = (1 / denom).to_radical()
     if (direct - via_tail).sign() != 0:

@@ -115,6 +115,13 @@ def _sgn(x: Fraction | int) -> int:
     return (x > 0) - (x < 0)
 
 
+def _sign_surd(c: int, n: int, r: int) -> int:
+    """Sign of c + n*sqrt(r), r >= 1: with opposite signs, compare c^2 with n^2*r."""
+    if c == 0 or n == 0 or (c > 0) == (n > 0):
+        return _sgn(c) or _sgn(n)
+    return _sgn(c) * _sgn(c * c - n * n * r)
+
+
 def _rational(x: Rational) -> Rational:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
@@ -396,12 +403,8 @@ class RadicalSum:
         if not self._t:
             return _sgn(self._c)
         if len(self._t) == 1:
-            # c + n*sqrt(r): with opposite signs, compare c^2 with n^2*r
             ((r, n),) = self._t
-            c = self._c
-            if c == 0 or (c > 0) == (n > 0):
-                return _sgn(n)
-            return _sgn(c) * _sgn(c * c - n * n * r)
+            return _sign_surd(self._c, n, r)
         enc = self._enclose(64)
         return 0 if enc is None else (1 if enc[1] > 0 else -1)
 
@@ -414,19 +417,20 @@ class RadicalSum:
         one digit), rounded half to even.  The digits come from the
         enclosure :meth:`sign` uses (:meth:`_enclose`, started at the first
         rung that can hold the digits if no sign was taken), plus one
-        interval at the bits its shorter endpoint lacks.  If the endpoints
-        round to adjacent strings, the exact sign of the value minus the
-        rational midpoint between them picks one, and a value on the
-        midpoint (a rational held with cancelling radicals) takes the even
-        one.  Only endpoints that round further apart double the precision.
+        interval at the bits its shorter endpoint lacks, rounded once: that
+        interval is m units wide (m radical terms) around a value of at
+        least 2^(need - 1) units, so its width is below 2^-62 of a step in
+        the last digit, and endpoints more than one digit apart raise
+        ArithmeticError.  If they round to adjacent strings, the exact sign
+        of the value minus the rational midpoint between them picks one,
+        and a value on the midpoint (a rational held with cancelling
+        radicals) takes the even one.
         """
         if not self._t:
             if not self._c:
                 return "0"
             bits, lo, hi = 0, self._c, self._c
         else:
-            # endpoints this long make the m units of width less than 2^-63
-            # of one step in the last digit
             need = (10**significant).bit_length() + len(self._t).bit_length() + 64
             bits = 64
             while bits < need:
@@ -439,13 +443,10 @@ class RadicalSum:
             if short > 0:
                 bits += short
                 lo, hi = self.interval(bits)
-        while True:
-            neg = hi < 0
-            e, a, b = _round_pair(-hi if neg else lo, -lo if neg else hi, self.den << bits, significant)
-            if b - a <= 1:
-                break
-            bits *= 2
-            lo, hi = self.interval(bits)
+        neg = hi < 0
+        e, a, b = _round_pair(-hi if neg else lo, -lo if neg else hi, self.den << bits, significant)
+        if b - a > 1:
+            raise ArithmeticError("decimal enclosure spans more than one last-digit step")
         if b > a and a < 10**significant:
             # lo and hi straddle the midpoint t between a and b
             k = significant - 1 - e
@@ -651,22 +652,7 @@ class QuadSurd:
     # -- order
 
     def sign(self) -> int:
-        if self.b == 0:
-            return _sgn(self.a)
-        if self.a == 0 or _sgn(self.a) == _sgn(self.b):
-            return _sgn(self.b) if self.a == 0 else _sgn(self.a)
-        # a and b*sqrt(d) have opposite signs: compare a^2 with b^2*d
-        return _sgn(self.a) * _sgn(self.a * self.a - self.b * self.b * self.d)
-
-    def floor(self) -> int:
-        """Exact floor via integer bracketing of sqrt(d)."""
-        t = self.b * self.b * self.d
-        s = isqrt(t)
-        if self.b >= 0:
-            fb = s
-        else:
-            fb = -s if s * s == t else -(s + 1)
-        return (self.a + fb) // self.c
+        return _sign_surd(self.a, self.b, self.d)
 
     def __lt__(self, other: "QuadSurd | Rational") -> bool:
         return (self - self._coerce(other)).sign() < 0

@@ -4,8 +4,8 @@ Grammar (whitespace-insensitive)::
 
     rat:<int>/<posint>
     surd:(<int>+<int>*sqrt(<posint>))/<posint>      (+ may be -)
-    cf:[<int>]  |  cf:[<int>;q1,q2,...]             with optional trailing
-                                                    (p1,...,pr) period group
+    cf:[<int>]  |  cf:[<int>;q1,q2,...]             the last item may be a
+                                                    period group (p1,...,pr)
     dec:<digits>.<digits>~<precision-digits>
 
 ``dec`` values carry finite precision and are excluded from exact
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .cf import CFExpansion, expand_rational, expand_surd, _purely_periodic_value
+from .cf import CFExpansion, cf_value, expand_rational, expand_surd
 from .exact import QuadSurd
 
 __all__ = ["DecPrefix", "NumberSpec", "SpecParseError", "parse_number", "render"]
@@ -100,36 +100,29 @@ def _parse_cf(body: str, pos: int) -> CFExpansion:
     m = _CF.match(body)
     if not m:
         raise SpecParseError("expected cf:[<int>;q1,q2,...] with optional (period)", pos)
-    a0 = int(m.group(1))
-    rest = m.group(2)
-    head: list[int] = []
-    period: list[int] = []
-    if rest:
-        per_part = None
-        if "(" in rest:
-            idx = rest.index("(")
-            if not rest.endswith(")"):
-                raise SpecParseError("unterminated period group", pos + len(body) - 1)
-            per_part = rest[idx + 1 : -1]
-            rest = rest[:idx].rstrip(",")
-        for item in filter(None, rest.split(",")) if rest else ():
-            head.append(_positive_quotient(item, pos))
-        if per_part is not None:
-            if not per_part:
-                raise SpecParseError("empty period", pos)
-            period = [_positive_quotient(item, pos) for item in per_part.split(",")]
-    if not period:
+    a0, rest = int(m.group(1)), m.group(2)
+    items = [] if rest is None else rest.split(",")
+    period = None
+    if rest and "(" in rest:
+        idx = rest.index("(")
+        if not rest.endswith(")"):
+            raise SpecParseError("unterminated period group", pos + len(body) - 1)
+        per_part = rest[idx + 1 : -1]
+        if not per_part:
+            raise SpecParseError("empty period", pos)
+        period = tuple(_positive_quotient(item, pos) for item in per_part.split(","))
+        # a head is followed by exactly one comma, which leaves "" last
+        items = rest[:idx].split(",")
+        if items.pop():
+            raise SpecParseError("expected ',' before the period group", pos)
+    head = tuple(_positive_quotient(item, pos) for item in items)
+    if period is None:
         digits = [a0, *head]
         value = Fraction(digits[-1])
         for a in reversed(digits[:-1]):
             value = a + 1 / value
         return expand_rational(value)
-    t = _purely_periodic_value(tuple(period))
-    v: QuadSurd | None = None
-    for a in reversed([a0, *head]):
-        v = a + 1 / (t if v is None else v)
-    assert v is not None
-    return expand_surd(v)
+    return expand_surd(cf_value(CFExpansion(a0, head, period)))
 
 
 def _positive_quotient(item: str, pos: int) -> int:

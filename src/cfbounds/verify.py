@@ -20,6 +20,7 @@ from .cf import (
     convergents,
     expand_rational,
     expand_surd,
+    _error_term,
     _purely_periodic_value,
 )
 from .exact import MixedFieldError, QuadSurd, RadicalSum, radical_sign
@@ -72,14 +73,6 @@ def coerce_number(x: NumberInput) -> tuple[Union[Fraction, QuadSurd], CFExpansio
         return x, expand_surd(x)
     f = Fraction(x)
     return f, expand_rational(f)
-
-
-def _error_term(value: Union[Fraction, QuadSurd], p: int, q: int) -> RadicalSum:
-    if isinstance(value, Fraction):
-        return RadicalSum(abs(value - Fraction(p, q)))
-    # (a + b sqrt(d))/c - p/q = (aq - pc + bq sqrt(d))/(cq)
-    err = RadicalSum._make(value.a * q - p * value.c, [(value.d, value.b * q)], value.c * q)
-    return -err if err.sign() < 0 else err
 
 
 def verify_bound_scan(

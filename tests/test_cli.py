@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cfbounds import cli
+from cfbounds import cli, exact
 from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
 from cfbounds.exact import QuadSurd
@@ -134,6 +134,20 @@ def test_exit_4_on_failed_internal_check(monkeypatch, capsys, target, argv, exc)
 
     monkeypatch.setattr(cli, target, fail)
     code, out = run_cli(argv)
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exit_4_when_decimal_endpoints_round_apart(monkeypatch, capsys):
+    # endpoints more than one digit apart would mean the precision bound broke
+    round_pair = exact._round_pair
+
+    def widen(*args):
+        e, a, b = round_pair(*args)
+        return e, a, b + 2
+
+    monkeypatch.setattr(exact, "_round_pair", widen)
+    code, out = run_cli(["verify", "surd:(1+1*sqrt(5))/2", "--bound", "hurwitz", "--n", "3"])
     assert code == 4 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -61,6 +61,13 @@ def test_whitespace_insensitive():
         "cf:[0;-1]",
         "cf:[0;()]",
         "cf:[0;(2]",
+        "cf:[0;1,,2]",
+        "cf:[0;1,]",
+        "cf:[0;,1]",
+        "cf:[0;,(2)]",
+        "cf:[0;1,,(2)]",
+        "cf:[1;]",
+        "cf:[0;1(2)]",
         "dec:3~2",
         "noprefix",
         "wat:1/2",
