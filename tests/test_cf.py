@@ -73,14 +73,14 @@ def test_last_convergent_is_the_number(f):
         (alpha1(2), "[0;(2)]"),
         (alpha2(2), "[0;1,1,(2)]"),
         (alpha2(3), "[0;1,2,(3)]"),
+        # sqrt(a^2 + 1) = [a; (2a)]: a short period behind a huge radicand
+        (QuadSurd.make(0, 1, 1, 10**24 + 1), f"[{10**12};({2 * 10**12})]"),
         # purely periodic: the period comes from x_1, not from x's own state
         (QuadSurd.make(1, 1, 1, 3), "[2;(1,2)]"),
         (QuadSurd.make(1, 1, 1, 2), "[2;(2)]"),
         (QuadSurd.make(3, -1, 1, 2), "[1;1,1,(2)]"),  # starts at a negative Q
         (QuadSurd.make(1, 1, 2, 3), "[1;(2,1)]"),
         (QuadSurd.make(-5, -3, 7, 11), "[-3;1,6,(2,1,2,2,2,2,2,1,2,7)]"),
-        # sqrt(a^2 + 1) = [a; (2a)]: a short period behind a huge radicand
-        (QuadSurd.make(0, 1, 1, 10**24 + 1), f"[{10**12};({2 * 10**12})]"),
     ],
 )
 def test_expand_surd_known(x, rendered):
