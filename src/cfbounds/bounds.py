@@ -1,16 +1,20 @@
 """Catalogue of approximation thresholds, stored as exact right-hand sides.
 
 Every bound is exposed as the value 1/f(q) that an approximation error
-|x - p/q| is compared against, as an exact :class:`RadicalSum`:
+|x - p/q| is compared against, as an exact :class:`RadicalSum`.  Each
+threshold is 1/(q^2 g(q)) for the g(q) in the last column, which
+:func:`bound_g` returns as integers:
 
-    dirichlet    1/q^2
-    hurwitz      1/(sqrt(5) q^2)
-    vahlen       1/(2 q^2)                      (pair witness)
-    borel        1/(sqrt(5) q^2)                (triple witness)
+    dirichlet    1/q^2                                        1
+    hurwitz      1/(sqrt(5) q^2)                              sqrt(5)
+    vahlen       1/(2 q^2)         (pair witness)             2
+    borel        1/(sqrt(5) q^2)   (triple witness)           sqrt(5)
     hancl_nair   1/((sqrt(5) + (4 - 5*sqrt(5) + sqrt(61))/(2 q^2)) q^2)
-    nathanson    1/(sqrt(k^2+4) q^2)
-    hancl_g      refined_f at k = 1
+                                            sqrt(5) + (4 - 5*sqrt(5) + sqrt(61))/(2 q^2)
+    nathanson    1/(sqrt(k^2+4) q^2)                          sqrt(k^2+4)
+    hancl_g      refined_f at k = 1                           refined_f's, k = 1
     refined_f    1/f(q),  f(q) = (q^2 sqrt(k^2+4)/2)(1 + sqrt(1 + 4/((k^2+4) q^2)))
+                                            (q sqrt(k^2+4) + sqrt((k^2+4) q^2 + 4))/(2q)
 
 For refined_f the reciprocal collapses to the two-radical form
 
@@ -38,6 +42,7 @@ __all__ = [
     "BOUND_KINDS",
     "BoundSpec",
     "Outcome",
+    "bound_g",
     "bound_rhs",
     "f_value",
 ]
@@ -81,11 +86,35 @@ def f_value(k: int, q: int) -> RadicalSum:
     return RadicalSum(0, [(Fraction(q * q, 2), d), (Fraction(q, 2), d * q * q + 4)])
 
 
-def _refined_rhs(k: int, q: int) -> RadicalSum:
+def bound_g(spec: BoundSpec, q: int) -> tuple[int, list[tuple[int, int]], int]:
+    """g(q) of the threshold 1/(q^2 g(q)) as integers (c, [(r, n), ...], den),
+    meaning (c + sum n*sqrt(r))/den with den > 0.
+
+    The square part of k^2 + 4 is folded into its coefficient (one cached
+    split per k); the radicand (k^2+4) q^2 + 4 is left unsplit.
+    """
+    kind = spec.kind
+    if kind == "dirichlet":
+        return 1, [], 1
+    if kind == "vahlen":
+        return 2, [], 1
+    if kind in ("hurwitz", "borel"):
+        return 0, [(5, 1)], 1
+    if kind == "hancl_nair":
+        return 4, [(5, 2 * q * q - 5), (61, 1)], 2 * q * q
+    k = 1 if kind == "hancl_g" else spec.k
+    d = k * k + 4
+    s, r = square_free_split(d)
+    if kind == "nathanson":
+        return 0, [(r, s)], 1
+    return 0, [(r, s * q), (d * q * q + 4, 1)], 2 * q
+
+
+def _refined_rhs(k: int, q: int, split: bool = True) -> RadicalSum:
     # (s1 sqrt(k1) - q s2 sqrt(k2)) / (2q) in one _make; k2 > 1 because
     # k^2 + 4 is never a square, while d q^2 + 4 can be one (d = 5, q = 1)
     d = k * k + 4
-    s1, k1 = square_free_split(d * q * q + 4)
+    s1, k1 = square_free_split(d * q * q + 4) if split else (1, d * q * q + 4)
     s2, k2 = square_free_split(d)
     pairs = [(k2, -q * s2)]
     if k1 == 1:
@@ -93,8 +122,14 @@ def _refined_rhs(k: int, q: int) -> RadicalSum:
     return RadicalSum._make(0, [(k1, s1), *pairs], 2 * q)
 
 
-def bound_rhs(spec: BoundSpec, q: int) -> RadicalSum:
-    """The exact threshold to compare |x - p/q| against."""
+def bound_rhs(spec: BoundSpec, q: int, split: bool = True) -> RadicalSum:
+    """The exact threshold to compare |x - p/q| against.
+
+    ``split=False`` leaves the radicand (k^2+4) q^2 + 4 of refined_f and
+    hancl_g unsplit: the same value, not in canonical form, for rendering
+    digits without the split (sign and decimal stay exact, see
+    :meth:`RadicalSum._zero_bits`).
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     kind = spec.kind
@@ -105,12 +140,12 @@ def bound_rhs(spec: BoundSpec, q: int) -> RadicalSum:
     if kind == "vahlen":
         return RadicalSum(Fraction(1, 2 * q * q))
     if kind == "hancl_g":
-        return _refined_rhs(1, q)
+        return _refined_rhs(1, q, split)
     if kind == "nathanson":
         d = spec.k * spec.k + 4
         return RadicalSum(0, [(Fraction(1, d * q * q), d)])
     if kind == "refined_f":
-        return _refined_rhs(spec.k, q)
+        return _refined_rhs(spec.k, q, split)
     # hancl_nair, rationalised in closed form (see the module docstring).
     # N != 0 for every q >= 1: at q = 1, 2 we get B = 0 and N = -5C^2, where
     # C != 0 because u is odd; otherwise B^2 = 5C^2 would make sqrt5 rational.

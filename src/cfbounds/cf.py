@@ -125,10 +125,15 @@ def expand_rational(x: Union[Fraction, int]) -> CFExpansion:
         a = num // den
         digits.append(a)
         num, den = den, num - a * den
+    return _finite(digits)
+
+
+def _finite(digits: list[int]) -> CFExpansion:
+    """Canonical expansion [d0; d1, ...] of digits with d_i >= 1 for i >= 1:
+    a trailing 1 folds into the digit before it."""
     if len(digits) > 1 and digits[-1] == 1:
-        digits.pop()
-        digits[-1] += 1
-    return CFExpansion(digits[0], tuple(digits[1:]), None)
+        digits = [*digits[:-2], digits[-2] + 1]
+    return CFExpansion(digits[0], tuple(digits[1:]))
 
 
 def _to_pqd(x: QuadSurd) -> tuple[int, int, int]:
@@ -245,7 +250,8 @@ def _error_term(value: Union[Fraction, QuadSurd], p: int, q: int) -> RadicalSum:
 
 
 def error_identity(x: QuadSurd, cf: CFExpansion, n: int) -> RadicalSum:
-    """|x - p_n/q_n| computed directly, as the scan does, and via the tail identity.
+    """|x - p_n/q_n| computed directly, as a scan row's margin is, and via the
+    tail identity, as a scan row's sign is.
 
     Both routes are evaluated exactly; a mismatch raises
     :class:`IdentityMismatch`.

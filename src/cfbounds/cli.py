@@ -88,7 +88,7 @@ def _detail_rows(base: dict, records) -> list[dict]:
         {
             **base, "type": "detail", "n": r.n, "p": r.p, "q": r.q,
             "outcome": r.outcome.value, "margin_sign": r.margin_sign,
-            "margin_decimal_50": r.margin.decimal(50),
+            "margin_decimal_50": r.margin_decimal(50),
         }
         for r in records
     ]
@@ -123,7 +123,7 @@ def _cmd_convergents(args) -> tuple[list[dict], bool]:
 def _cmd_verify(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
     value, cf = _exact_input(spec, "verify")
-    records = verify_bound_scan(value, BoundSpec(args.bound, args.k), args.n)
+    records = verify_bound_scan((value, cf), BoundSpec(args.bound, args.k), args.n)
     base = {"input": render(spec), "command": "verify", "bound": args.bound, "k": args.k}
     ok = not _applicable(cf, args.bound, args.k) or any(r.margin_sign <= 0 for r in records)
     return _detail_rows(base, records), ok
@@ -134,7 +134,7 @@ def _cmd_classify(args) -> tuple[list[dict], bool]:
     value, cf = _exact_input(spec, "classify-equality")
     if cf.is_finite:
         raise SpecParseError("classify-equality needs an irrational input")
-    records = verify_bound_scan(value, BoundSpec("refined_f", args.k), args.n)
+    records = verify_bound_scan((value, cf), BoundSpec("refined_f", args.k), args.n)
     base = {"input": render(spec), "command": "classify-equality", "k": args.k}
     rows = _detail_rows(base, records)
     rows.append({
@@ -179,7 +179,7 @@ def _cmd_classical(args) -> tuple[list[dict], bool]:
     value, cf = _exact_input(spec, "classical")
     if cf.is_finite:
         raise SpecParseError("classical window rules need an irrational input")
-    holds = classical_window_check(value, args.rule, args.n)
+    holds = classical_window_check((value, cf), args.rule, args.n)
     row = {
         "input": render(spec), "command": "classical",
         "rule": args.rule, "n": args.n, "holds": holds,
@@ -203,7 +203,7 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
         spec = parse_number(text)
         value, cf = _exact_input(spec, "report")
         depth = min(args.n, len(cf) - 1) if cf.is_finite else args.n
-        records = verify_bound_scan(value, bspec, depth)
+        records = verify_bound_scan((value, cf), bspec, depth)
         applicable = _applicable(cf, args.bound, args.k)
         counts = {o: 0 for o in Outcome}
         for r in records:

@@ -122,6 +122,25 @@ def _sign_surd(c: int, n: int, r: int) -> int:
     return _sgn(c) * _sgn(c * c - n * n * r)
 
 
+def _interval(c: int, terms: Iterable[tuple[int, int]], bits: int) -> tuple[int, int]:
+    """Integers lo <= (c + sum n*sqrt(r))*2^bits <= hi, for integers r >= 1.
+
+    Each term n*sqrt(r) is rounded outward to the integers around
+    isqrt(n^2 * r * 4^bits), so the error is below one unit per term.
+    """
+    lo = hi = c << bits
+    shift = 2 * bits
+    for r, n in terms:
+        s = isqrt(n * n * r << shift)
+        if n > 0:
+            lo += s
+            hi += s + 1
+        else:
+            lo -= s + 1
+            hi -= s
+    return lo, hi
+
+
 def _rational(x: Rational) -> Rational:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
@@ -319,22 +338,8 @@ class RadicalSum:
     # -- sign machinery
 
     def interval(self, bits: int) -> tuple[int, int]:
-        """Integers lo <= value*den*2^bits <= hi.
-
-        Each term n*sqrt(r) is rounded outward to the integers around
-        isqrt(n^2 * r * 4^bits), so the error is below one unit per term.
-        """
-        lo = hi = self._c << bits
-        shift = 2 * bits
-        for r, n in self._t:
-            s = isqrt(n * n * r << shift)
-            if n > 0:
-                lo += s
-                hi += s + 1
-            else:
-                lo -= s + 1
-                hi -= s
-        return lo, hi
+        """Integers lo <= value*den*2^bits <= hi (see :func:`_interval`)."""
+        return _interval(self._c, self._t, bits)
 
     def _term_bits(self) -> int:
         """Bit length of the largest radical term: max bitlen(n) + ceil(bitlen(r)/2)."""
@@ -366,7 +371,8 @@ class RadicalSum:
         """The first ``(bits, lo, hi)`` of ``interval`` that excludes zero, or
         None once an interval holds zero at or above :meth:`_zero_bits`.
 
-        The ladder starts at ``bits`` (a rung 64*2^i) and doubles, but when
+        The ladder starts at ``bits`` (a rung 64*2^i, or the bits a
+        ``decimal`` floor asks for) and doubles, but when
         the first rung fails it jumps to the first rung at or above
         :meth:`_term_bits`: below that every rung costs an ``isqrt`` nearly as
         long as the one that decides.  The answer is kept in a slot, so
@@ -410,21 +416,22 @@ class RadicalSum:
 
     # -- rendering
 
-    def decimal(self, significant: int = 50) -> str:
+    def decimal(self, significant: int = 50, floor: int | None = None) -> str:
         """Correctly rounded decimal string with ``significant`` digits.
 
         Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
         one digit), rounded half to even.  The digits come from the
         enclosure :meth:`sign` uses (:meth:`_enclose`, started at the first
-        rung that can hold the digits if no sign was taken), plus one
-        interval at the bits its shorter endpoint lacks, rounded once: that
-        interval is m units wide (m radical terms) around a value of at
-        least 2^(need - 1) units, so its width is below 2^-62 of a step in
-        the last digit, and endpoints more than one digit apart raise
-        ArithmeticError.  If they round to adjacent strings, the exact sign
-        of the value minus the rational midpoint between them picks one,
-        and a value on the midpoint (a rational held with cancelling
-        radicals) takes the even one.
+        rung that can hold the digits if no sign was taken, or, given a
+        ``floor`` e with |value| >= 2^e, at the bits that carry every digit
+        in one interval), plus one interval at the bits its shorter endpoint
+        lacks, rounded once: that interval is m units wide (m radical terms)
+        around a value of at least 2^(need - 1) units, so its width is below
+        2^-62 of a step in the last digit, and endpoints more than one digit
+        apart raise ArithmeticError.  If they round to adjacent strings, the
+        exact sign of the value minus the rational midpoint between them
+        picks one, and a value on the midpoint (a rational held with
+        cancelling radicals) takes the even one.
         """
         if not self._t:
             if not self._c:
@@ -432,9 +439,13 @@ class RadicalSum:
             bits, lo, hi = 0, self._c, self._c
         else:
             need = (10**significant).bit_length() + len(self._t).bit_length() + 64
-            bits = 64
-            while bits < need:
-                bits *= 2
+            if floor is None:
+                bits = 64
+                while bits < need:
+                    bits *= 2
+            else:
+                # |value*den*2^bits| >= 2^(floor + bitlen(den) - 1 + bits) = 2^need
+                bits = max(need - floor - self.den.bit_length() + 1, 64)
             enc = self._enclose(bits)
             if enc is None:
                 return "0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .cf import CFExpansion, cf_value, expand_rational, expand_surd
+from .cf import CFExpansion, _finite, cf_value, expand_surd
 from .exact import QuadSurd
 
 __all__ = ["DecPrefix", "NumberSpec", "SpecParseError", "parse_number", "render"]
@@ -115,14 +115,10 @@ def _parse_cf(body: str, pos: int) -> CFExpansion:
         items = rest[:idx].split(",")
         if items.pop():
             raise SpecParseError("expected ',' before the period group", pos)
-    head = tuple(_positive_quotient(item, pos) for item in items)
+    head = [_positive_quotient(item, pos) for item in items]
     if period is None:
-        digits = [a0, *head]
-        value = Fraction(digits[-1])
-        for a in reversed(digits[:-1]):
-            value = a + 1 / value
-        return expand_rational(value)
-    return expand_surd(cf_value(CFExpansion(a0, head, period)))
+        return _finite([a0, *head])
+    return expand_surd(cf_value(CFExpansion(a0, tuple(head), period)))
 
 
 def _positive_quotient(item: str, pos: int) -> int:

@@ -4,14 +4,19 @@ Scans convergents against bounds with exact outcomes, classifies the
 equality attainers, decides membership in F(k) (partial quotients all
 <= k) and tail-equivalence, and certifies the individual inequalities
 used in the proof of the refined bound as exact sign checks.
+
+A scan decides each row's sign in tail form, from integers of the size of
+q_n, and builds the row's margin |x - p_n/q_n| - 1/f(q_n) only when it is
+read (see :func:`verify_bound_scan`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
-from .bounds import BoundSpec, Outcome, bound_rhs, f_value
+from .bounds import BoundSpec, Outcome, bound_g, bound_rhs, f_value
 from .cf import (
     CFExpansion,
     alpha1,
@@ -23,7 +28,7 @@ from .cf import (
     _error_term,
     _purely_periodic_value,
 )
-from .exact import MixedFieldError, QuadSurd, RadicalSum, radical_sign
+from .exact import MixedFieldError, QuadSurd, RadicalSum, _interval, _sign_surd, radical_sign
 
 __all__ = [
     "NumberInput",
@@ -42,28 +47,70 @@ __all__ = [
     "classical_window_check",
 ]
 
-NumberInput = Union[int, Fraction, QuadSurd, CFExpansion]
+Exact = Union[Fraction, QuadSurd]
+# the last form is the (value, cf) pair that coerce_number returns
+NumberInput = Union[int, Fraction, QuadSurd, CFExpansion, tuple[Exact, CFExpansion]]
+
+
+# (c, [(r, n), ...], den) stands for (c + sum n*sqrt(r))/den with den > 0
+Surd = tuple[int, list[tuple[int, int]], int]
 
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Convergent n, p/q against a bound: ``margin`` is |x - p/q| minus the
-    threshold, exactly, and ``outcome`` is read off ``margin_sign``."""
+    """Convergent n, p/q of ``value`` against the bound ``spec``.
+
+    ``margin_sign`` is the sign of |x - p/q| minus the threshold, decided
+    when the scan made the record, and ``outcome`` is read off it.
+    ``margin``, that difference as a canonical RadicalSum, is built when it
+    is first read and then kept; a row whose sign needed it keeps the one
+    the scan built.  :meth:`margin_decimal` renders it without building it.
+    """
 
     n: int
     p: int
     q: int
     margin_sign: int
-    margin: RadicalSum
+    value: Exact = field(repr=False)
+    spec: BoundSpec = field(repr=False)
+    # (W, g, T, enc) of a row decided in tail form: W = (c, terms) from
+    # _numerator, and enc the 64-bit interval of W that decided it, if any
+    _tail: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _margin: Optional[RadicalSum] = field(default=None, repr=False, compare=False)
 
     @property
     def outcome(self) -> Outcome:
         s = self.margin_sign
         return Outcome.HOLDS_STRICT if s < 0 else Outcome.HOLDS_EQUAL if s == 0 else Outcome.FAILS
 
+    @property
+    def margin(self) -> RadicalSum:
+        if self._margin is None:
+            margin = _error_term(self.value, self.p, self.q) - bound_rhs(self.spec, self.q)
+            object.__setattr__(self, "_margin", margin)
+        return self._margin
 
-def coerce_number(x: NumberInput) -> tuple[Union[Fraction, QuadSurd], CFExpansion]:
-    """Exact value and canonical expansion for any accepted input form."""
+    def margin_decimal(self, significant: int = 50) -> str:
+        """``margin.decimal(significant)``.  A row decided in tail form
+        renders the direct difference with (k^2+4) q^2 + 4 left unsplit,
+        from the one interval that the tail numerator's magnitude says the
+        digits need."""
+        if not self.margin_sign:
+            return "0"
+        if self._tail is None:
+            return self.margin.decimal(significant)
+        (c, terms), g, t, enc = self._tail
+        # |margin| >= |W|/(q^2 (g.den g)(t.den T)) > |W|/2^bits
+        bits = 2 * self.q.bit_length() + _bits_above(g) + _bits_above(t)
+        direct = _error_term(self.value, self.p, self.q) - bound_rhs(self.spec, self.q, False)
+        return direct.decimal(significant, _floor_log2(c, terms, enc) - bits)
+
+
+def coerce_number(x: NumberInput) -> tuple[Exact, CFExpansion]:
+    """Exact value and canonical expansion for any accepted input form; a
+    ``(value, cf)`` pair that it returned is passed through."""
+    if isinstance(x, tuple):
+        return x
     if isinstance(x, CFExpansion):
         return cf_value(x), x
     if isinstance(x, QuadSurd):
@@ -75,17 +122,94 @@ def coerce_number(x: NumberInput) -> tuple[Union[Fraction, QuadSurd], CFExpansio
     return f, expand_rational(f)
 
 
-def verify_bound_scan(
-    x: NumberInput, spec: BoundSpec, n_max: int
-) -> list[VerificationRecord]:
-    """Exact outcome of |x - p_n/q_n| against the bound for n = 0..n_max."""
+def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[VerificationRecord]:
+    """Exact outcome of |x - p_n/q_n| against the bound for n = 0..n_max.
+
+    A caller that holds the ``(value, cf)`` pair passes it, so x is not
+    expanded again.  Each sign is decided in tail form, and no margin is
+    built for it.  The threshold is 1/(q^2 g(q)) (:func:`bound_g`), and
+    |x - p/q| = 1/(q^2 T) with T = alpha_{n+1} + q_{n-1}/q_n, the tail of
+    :func:`cf.error_identity`; so the margin (g - T)/(q^2 T g) has the sign
+    of g - T, which is O(1).  T comes exactly from the error: with
+    x - p/q = (u + w sqrt(d))/(c q),
+
+        T = c/(q |u + w sqrt(d)|) = +-c (u - w sqrt(d))/(q (u^2 - w^2 d)),
+
+    where u and -w sqrt(d) share a sign, so nothing cancels (w = 0 for a
+    rational x, whose last convergent, with error 0, holds strictly).  The
+    integers of g - T over a positive denominator, like radicands merged,
+    decide its sign exactly with at most one radical (on the equality rows
+    they merge to one), else by one 64-bit interval.  Only when that
+    interval holds zero is the canonical margin built, for its exact sign,
+    and the record keeps it.
+    """
     value, cf = coerce_number(x)
+    if isinstance(value, Fraction):
+        a, b, c, d = value.numerator, 0, value.denominator, 1
+    else:
+        a, b, c, d = value.a, value.b, value.c, value.d
     records = []
     for conv in convergents(cf, n_max):
-        err = _error_term(value, conv.p, conv.q)
-        margin = err - bound_rhs(spec, conv.q)
-        records.append(VerificationRecord(conv.n, conv.p, conv.q, radical_sign(margin), margin))
+        n, p, q = conv.n, conv.p, conv.q
+        # x - p/q = (u + w sqrt(d))/(c q), so T = c/(q |u + w sqrt(d)|)
+        u, w = a * q - p * c, b * q
+        norm = u * u - w * w * d
+        if not norm:  # x = p/q: the error is 0 and the threshold positive
+            records.append(VerificationRecord(n, p, q, -1, value, spec))
+            continue
+        s = _sign_surd(u, w, d) * (1 if norm > 0 else -1)
+        t = (s * c * u, [(d, -s * c * w)], q * abs(norm))
+        g = bound_g(spec, q)
+        num = const, terms = _numerator(g, t)
+        if len(terms) <= 1:
+            r, m = terms[0] if terms else (1, 0)
+            sign, enc = _sign_surd(const, m, r), None
+        else:
+            lo, hi = _interval(const, terms, 64)
+            if lo <= 0 <= hi:
+                margin = _error_term(value, p, q) - bound_rhs(spec, q)
+                records.append(VerificationRecord(n, p, q, margin.sign(), value, spec, _margin=margin))
+                continue
+            sign, enc = (1 if lo > 0 else -1), (64, lo, hi)
+        records.append(VerificationRecord(n, p, q, sign, value, spec, (num, g, t, enc)))
     return records
+
+
+def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
+    """Integers (c, [(r, n), ...]) of W = c + sum n*sqrt(r), a positive
+    multiple of g - t: g and t over the least common denominator, like
+    radicands merged."""
+    gc, gt, gd = g
+    tc, tt, td = t
+    f = gcd(gd, td)
+    gd, td = gd // f, td // f
+    acc: dict[int, int] = {}
+    for r, n in gt:
+        acc[r] = acc.get(r, 0) + td * n
+    for r, n in tt:
+        acc[r] = acc.get(r, 0) - gd * n
+    return td * gc - gd * tc, [(r, n) for r, n in acc.items() if n]
+
+
+def _bits_above(s: Surd) -> int:
+    """B with |c| + sum |n|*sqrt(r) < 2^B, so that 0 < s*den < 2^B."""
+    c, terms, _ = s
+    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() + 1) // 2 for r, n in terms])
+    return top + len(terms).bit_length()
+
+
+def _floor_log2(c: int, terms: list[tuple[int, int]], enc: Optional[tuple[int, int, int]]) -> int:
+    """e with |c + sum n*sqrt(r)| >= 2^e, for a nonzero value, from ``enc``
+    (bits, lo, hi) of :func:`_interval` if it excludes zero, else from the
+    first interval from 64 bits up that does."""
+    bits = 64
+    while enc is None:
+        lo, hi = _interval(c, terms, bits)
+        if lo > 0 or hi < 0:
+            enc = bits, lo, hi
+        bits *= 2
+    bits, lo, hi = enc
+    return min(abs(lo), abs(hi)).bit_length() - 1 - bits
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +435,7 @@ def classical_window_check(x: NumberInput, rule: str, n_max: int) -> bool:
     value, cf = coerce_number(x)
     if cf.is_finite:
         raise ValueError("rule requires an irrational input")
-    hits = [r.margin_sign < 0 for r in verify_bound_scan(value, spec, n_max)]
+    hits = [r.margin_sign < 0 for r in verify_bound_scan((value, cf), spec, n_max)]
     return all(
         any(hits[i : i + width]) for i in range(0, n_max - width + 2)
     )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_rhs, f_value
+from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_g, bound_rhs, f_value
 from cfbounds.bounds import _refined_rhs
 from cfbounds.exact import RadicalSum, radical_sign
 from cfbounds.verify import LemmaInstance, check_lemma
@@ -113,6 +113,31 @@ def test_refined_closed_form_equals_constructor():
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10**40))
 def test_refined_closed_form_equals_constructor_at_large_q(k, q):
     assert _fields(_refined_rhs(k, q)) == _fields(_refined_by_constructor(k, q))
+
+
+def _spec(kind: str, k: int) -> BoundSpec:
+    return BoundSpec(kind, k if kind in ("nathanson", "refined_f") else None)
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+def test_threshold_is_one_over_q_squared_g(kind):
+    # q^2 g(q) times the threshold is exactly 1, and g's denominator is positive
+    for k in (1, 2, 3, 4, 6):
+        for q in (1, 2, 3, 5, 8, 13, 100, 10**20 + 1):
+            spec = _spec(kind, k)
+            c, terms, den = bound_g(spec, q)
+            assert den > 0
+            g = RadicalSum(Fraction(c, den), [(Fraction(n, den), r) for r, n in terms])
+            assert (g * (q * q) * bound_rhs(spec, q) - 1).sign() == 0, (kind, k, q)
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+def test_unsplit_threshold_has_the_same_value(kind):
+    # d q^2 + 4 = 9 at k = 1, q = 1 is a square the unsplit form keeps as a radicand
+    for k in (1, 2, 5):
+        for q in (1, 2, 7, 10**30 + 7):
+            spec = _spec(kind, k)
+            assert (bound_rhs(spec, q, False) - bound_rhs(spec, q)).sign() == 0
 
 
 def test_requires_k_for_parametric_bounds():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cfbounds import cli, exact
+from cfbounds import cli, exact, verify
 from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
 from cfbounds.exact import QuadSurd
@@ -166,6 +166,44 @@ def test_report_corpus(tmp_path):
     rows = [json.loads(line) for line in out.splitlines()]
     assert code == 0 and len(rows) == 3
     assert [r["applicable"] for r in rows] == [True, False, True]
+
+
+def _counting(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_report_builds_no_margin(tmp_path, monkeypatch):
+    # every row here is decided in tail form, equality rows included, so no
+    # margin is built: no threshold and no error term
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(
+        "surd:(1+1*sqrt(5))/2\nsurd:(3+2*sqrt(7))/5\nsurd:(-1+1*sqrt(5))/2\n"
+        "rat:355/113\ncf:[0;1,1,(2)]\n"
+    )
+    counts = {}
+    for name in ("bound_rhs", "_error_term"):
+        _counting(monkeypatch, verify, name, counts)
+    outs = []
+    for flags in (["--bound", "refined_f", "--k", "1"], ["--bound", "hancl_nair"], ["--bound", "hurwitz"]):
+        code, out = run_cli(["report", "--corpus", str(corpus), *flags, "--n", "40"])
+        assert code == 0 and len(out.splitlines()) == 5
+        outs.append(out)
+    # alpha1(1) meets refined_f at k = 1 with equality at every odd n
+    assert json.loads(outs[0].splitlines()[2])["holds_equal"] == 20
+    assert counts == {}
+
+
+def test_classical_expands_its_input_once(monkeypatch):
+    counts = {}
+    _counting(monkeypatch, verify, "expand_surd", counts)
+    code, _ = run_cli(["classical", "surd:(1+1*sqrt(5))/2", "--rule", "borel_triples", "--n", "10"])
+    assert code == 0 and counts == {"expand_surd": 1}
 
 
 @pytest.mark.parametrize("k, code", [(3, 1), (4, 0)])

@@ -534,7 +534,8 @@ def test_sign_and_decimal_share_one_enclosure(c0, terms):
 
 
 def test_verify_takes_one_enclosure_per_margin(monkeypatch):
-    # sign climbs the ladder once; decimal(50) reuses it plus at most one interval
+    # a row decided in tail form takes no sign of a RadicalSum with radicals
+    # beyond the error term's one comparison, and one interval, for its decimal
     seen = []
     signs = [0]
     interval, sign = RadicalSum.interval, RadicalSum.sign
@@ -556,11 +557,47 @@ def test_verify_takes_one_enclosure_per_margin(monkeypatch):
     assert main(argv, out=io.StringIO()) == 0
     monkeypatch.undo()
     records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), 200)
+    assert all(r._tail is not None for r in records)  # no row needed its margin
     irrational = sum(not r.margin.is_rational for r in records)
     assert irrational == 201
-    assert len(seen) <= 3 * irrational
-    ladder = {64 << i for i in range(9)}  # 64 .. 16384
-    assert {bits for bits, in_sign in seen if in_sign} <= ladder
+    assert len(seen) <= irrational
+    assert not any(in_sign for _, in_sign in seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+            st.integers(min_value=2, max_value=500),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=40),
+)
+def test_decimal_from_a_floor_takes_one_interval(c0, terms, slack):
+    r = RadicalSum(c0, terms)
+    if r.is_rational or r.sign() == 0:
+        return
+    expected = r.decimal(50)
+    # the largest e with |value| >= 2^e, then a looser floor
+    lo, hi = r.interval(2000)
+    floor = min(abs(lo), abs(hi)).bit_length() - 1 - 2000 - r.den.bit_length() - slack
+    calls = []
+    interval = RadicalSum.interval
+
+    def counting(self, bits):
+        calls.append(bits)
+        return interval(self, bits)
+
+    RadicalSum.interval = counting
+    try:
+        assert RadicalSum(c0, terms).decimal(50, floor) == expected
+    finally:
+        RadicalSum.interval = interval
+    assert len(calls) == 1
 
 
 _huge_fraction = st.builds(

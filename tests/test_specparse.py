@@ -37,6 +37,9 @@ def test_parse_cf_periodic_value():
 def test_parse_cf_finite_is_canonicalized():
     spec = parse_number("cf:[0;2,1]")  # ends in 1: same value as [0;3]
     assert spec.parsed.render() == "[0;3]"
+    assert parse_number("cf:[-2;1]").parsed.render() == "[-1]"
+    assert parse_number("cf:[1;1,1]").parsed.render() == "[1;2]"
+    assert parse_number("cf:[5]").parsed.render() == "[5]"
 
 
 def test_parse_cf_with_head_and_period():

@@ -1,12 +1,14 @@
 """Unit tests for the theorem-verification harness."""
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbounds.bounds import BoundSpec, Outcome
-from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_surd
+from cfbounds import verify
+from cfbounds.bounds import BoundSpec, Outcome, bound_rhs
+from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
 from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import (
     LEMMA_IDS,
@@ -60,6 +62,107 @@ def test_rational_scan_is_allowed_for_plumbing():
     assert [r.n for r in recs] == [0, 1, 2]
     # last convergent hits the number exactly: error 0 < 1/q^2
     assert recs[-1].outcome is Outcome.HOLDS_STRICT
+
+
+# ---------------------------------------------------------------------------
+# signs decided in tail form against the canonical direct margin
+
+_ALL_SPECS = [
+    BoundSpec(kind) for kind in ("dirichlet", "hurwitz", "hancl_g", "vahlen", "borel", "hancl_nair")
+] + [BoundSpec(kind, k) for kind in ("nathanson", "refined_f") for k in (1, 2, 3)]
+
+
+def _tail_equals_direct(x, spec, n):
+    """Every record's sign is that of |x - p/q| minus the threshold, built
+    directly and canonically, and its margin is that RadicalSum."""
+    records = verify_bound_scan(x, spec, n)
+    for r in records:
+        direct = _error_term(x, r.p, r.q) - bound_rhs(spec, r.q)
+        assert r.margin_sign == direct.sign(), (x, spec, r.n)
+        assert r.margin == direct, (x, spec, r.n)
+    return records
+
+
+def test_tail_signs_equal_direct_signs_on_random_surds():
+    rng = random.Random(2024)
+    for _ in range(40):
+        x = make_random_surd(rng, dmax=300)
+        for spec in _ALL_SPECS:
+            _tail_equals_direct(x, spec, 60)
+
+
+@pytest.mark.parametrize(
+    "x", [Fraction(10, 7), Fraction(355, 113), Fraction(-7, 2), Fraction(1, 2), Fraction(5, 2),
+          Fraction(10**30 + 7, 10**29 + 3), Fraction(3)],
+)
+def test_tail_signs_equal_direct_signs_on_rationals(x):
+    depth = len(expand_rational(x)) - 1
+    for spec in _ALL_SPECS:
+        records = _tail_equals_direct(x, spec, depth)
+        assert records[-1].margin_sign == -1  # x = p/q: error 0 under a positive threshold
+    # 1/2 = 0 + 1/2 meets vahlen's 1/(2 q^2) at q = 1 exactly
+    if x == Fraction(1, 2):
+        assert verify_bound_scan(x, BoundSpec("vahlen"), 1)[0].margin_sign == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tail_signs_equal_direct_signs_on_equality_families(k):
+    translates = [alpha1(k) + t for t in (-3, 0, 2)]
+    if k >= 2:
+        translates += [alpha2(k) + t for t in (-3, 0, 2)]
+    for x in translates:
+        for spec in (BoundSpec("refined_f", k), BoundSpec("nathanson", k), BoundSpec("hancl_g")):
+            records = _tail_equals_direct(x, spec, 60)
+            if spec.kind == "refined_f":
+                first = 1 if classify_equality(x, k) == "alpha1" else 2
+                zeros = [r.n for r in records if r.margin_sign == 0]
+                assert zeros == list(range(first, 61, 2))
+
+
+@pytest.mark.parametrize("kind", ["hurwitz", "borel", "hancl_nair"])
+def test_tail_signs_equal_direct_signs_where_g_minus_t_vanishes(kind):
+    # T_n -> sqrt(5) along the golden ratio, so g - T_n -> 0 under hurwitz and
+    # borel; g's sqrt(5) merges with x's own, and one comparison decides it
+    _tail_equals_direct(GOLDEN, BoundSpec(kind), 100)
+
+
+def test_fallback_rows_keep_the_margin_they_built(monkeypatch):
+    # an interval that never decides sends every row with two radicals to the fallback
+    monkeypatch.setattr(verify, "_interval", lambda c, terms, bits: (-1, 1))
+    x = QuadSurd.make(3, 2, 5, 7)
+    records = _tail_equals_direct(x, BoundSpec("refined_f", 2), 40)
+    assert all(r._margin is not None for r in records)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("margin rebuilt")
+
+    monkeypatch.setattr(verify, "bound_rhs", no_rebuild)
+    for r in records:
+        assert r.margin_decimal(50) == r.margin.decimal(50)
+
+
+def test_margin_decimal_equals_the_canonical_margins_decimal():
+    rng = random.Random(7)
+    xs = [make_random_surd(rng, dmax=300) for _ in range(6)]
+    xs += [GOLDEN, alpha1(2) + 1, Fraction(355, 113)]
+    for x in xs:
+        depth = len(expand_rational(x)) - 1 if isinstance(x, Fraction) else 40
+        for spec in _ALL_SPECS:
+            for r in verify_bound_scan(x, spec, depth):
+                assert r.margin_decimal(50) == r.margin.decimal(50), (x, spec, r.n)
+
+
+def test_scan_takes_the_value_cf_pair(monkeypatch):
+    x = QuadSurd.make(3, 2, 5, 7)
+    pair = (x, expand_surd(x))
+    expected = verify_bound_scan(x, BoundSpec("hancl_nair"), 20)
+
+    def no_expansion(*args):
+        raise AssertionError("expanded again")
+
+    monkeypatch.setattr(verify, "expand_surd", no_expansion)
+    assert verify_bound_scan(pair, BoundSpec("hancl_nair"), 20) == expected
+    assert classical_window_check(pair, "hancl_nair_triples", 20)
 
 
 # ---------------------------------------------------------------------------
