@@ -110,11 +110,11 @@ def bound_g(spec: BoundSpec, q: int) -> tuple[int, list[tuple[int, int]], int]:
     return 0, [(r, s * q), (d * q * q + 4, 1)], 2 * q
 
 
-def _refined_rhs(k: int, q: int, split: bool = True) -> RadicalSum:
+def _refined_rhs(k: int, q: int) -> RadicalSum:
     # (s1 sqrt(k1) - q s2 sqrt(k2)) / (2q) in one _make; k2 > 1 because
     # k^2 + 4 is never a square, while d q^2 + 4 can be one (d = 5, q = 1)
     d = k * k + 4
-    s1, k1 = square_free_split(d * q * q + 4) if split else (1, d * q * q + 4)
+    s1, k1 = square_free_split(d * q * q + 4)
     s2, k2 = square_free_split(d)
     pairs = [(k2, -q * s2)]
     if k1 == 1:
@@ -122,14 +122,8 @@ def _refined_rhs(k: int, q: int, split: bool = True) -> RadicalSum:
     return RadicalSum._make(0, [(k1, s1), *pairs], 2 * q)
 
 
-def bound_rhs(spec: BoundSpec, q: int, split: bool = True) -> RadicalSum:
-    """The exact threshold to compare |x - p/q| against.
-
-    ``split=False`` leaves the radicand (k^2+4) q^2 + 4 of refined_f and
-    hancl_g unsplit: the same value, not in canonical form, for rendering
-    digits without the split (sign and decimal stay exact, see
-    :meth:`RadicalSum._zero_bits`).
-    """
+def bound_rhs(spec: BoundSpec, q: int) -> RadicalSum:
+    """The exact threshold to compare |x - p/q| against, in canonical form."""
     if q < 1:
         raise ValueError("q must be >= 1")
     kind = spec.kind
@@ -140,12 +134,12 @@ def bound_rhs(spec: BoundSpec, q: int, split: bool = True) -> RadicalSum:
     if kind == "vahlen":
         return RadicalSum(Fraction(1, 2 * q * q))
     if kind == "hancl_g":
-        return _refined_rhs(1, q, split)
+        return _refined_rhs(1, q)
     if kind == "nathanson":
         d = spec.k * spec.k + 4
         return RadicalSum(0, [(Fraction(1, d * q * q), d)])
     if kind == "refined_f":
-        return _refined_rhs(spec.k, q, split)
+        return _refined_rhs(spec.k, q)
     # hancl_nair, rationalised in closed form (see the module docstring).
     # N != 0 for every q >= 1: at q = 1, 2 we get B = 0 and N = -5C^2, where
     # C != 0 because u is odd; otherwise B^2 = 5C^2 would make sqrt5 rational.

@@ -167,7 +167,8 @@ def _cmd_lemmas(args) -> tuple[list[dict], bool]:
                 "k": k,
                 "depth": args.depth if lemma.startswith("R") else None,
                 "holds": holds,
-                "margin_sign": margin.sign(),
+                # check_lemma took the sign: holds means it is +1
+                "margin_sign": 1 if holds else margin.sign(),
                 "margin_decimal_50": margin.decimal(50),
             })
             ok = ok and holds

@@ -126,12 +126,16 @@ def _interval(c: int, terms: Iterable[tuple[int, int]], bits: int) -> tuple[int,
     """Integers lo <= (c + sum n*sqrt(r))*2^bits <= hi, for integers r >= 1.
 
     Each term n*sqrt(r) is rounded outward to the integers around
-    isqrt(n^2 * r * 4^bits), so the error is below one unit per term.
+    isqrt(n^2 * r * 4^bits), so the error is below one unit per term.  At
+    negative ``bits`` c*2^bits and n^2 * r * 4^bits are floored first, so
+    every ``isqrt`` operand has about 2 * (bits + bitlen(n*sqrt(r))) bits,
+    and the interval is at most m + 1 units wide for m terms.
     """
-    lo = hi = c << bits
-    shift = 2 * bits
+    lo = c << bits if bits >= 0 else c >> -bits
+    hi = lo + (bits < 0)
     for r, n in terms:
-        s = isqrt(n * n * r << shift)
+        sq = n * n * r
+        s = isqrt(sq << 2 * bits if bits >= 0 else sq >> -2 * bits)
         if n > 0:
             lo += s
             hi += s + 1
@@ -371,8 +375,7 @@ class RadicalSum:
         """The first ``(bits, lo, hi)`` of ``interval`` that excludes zero, or
         None once an interval holds zero at or above :meth:`_zero_bits`.
 
-        The ladder starts at ``bits`` (a rung 64*2^i, or the bits a
-        ``decimal`` floor asks for) and doubles, but when
+        The ladder starts at ``bits`` (a rung 64*2^i) and doubles, but when
         the first rung fails it jumps to the first rung at or above
         :meth:`_term_bits`: below that every rung costs an ``isqrt`` nearly as
         long as the one that decides.  The answer is kept in a slot, so
@@ -416,22 +419,21 @@ class RadicalSum:
 
     # -- rendering
 
-    def decimal(self, significant: int = 50, floor: int | None = None) -> str:
+    def decimal(self, significant: int = 50) -> str:
         """Correctly rounded decimal string with ``significant`` digits.
 
         Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
         one digit), rounded half to even.  The digits come from the
         enclosure :meth:`sign` uses (:meth:`_enclose`, started at the first
-        rung that can hold the digits if no sign was taken, or, given a
-        ``floor`` e with |value| >= 2^e, at the bits that carry every digit
-        in one interval), plus one interval at the bits its shorter endpoint
-        lacks, rounded once: that interval is m units wide (m radical terms)
-        around a value of at least 2^(need - 1) units, so its width is below
-        2^-62 of a step in the last digit, and endpoints more than one digit
-        apart raise ArithmeticError.  If they round to adjacent strings, the
-        exact sign of the value minus the rational midpoint between them
-        picks one, and a value on the midpoint (a rational held with
-        cancelling radicals) takes the even one.
+        rung that can hold the digits if no sign was taken), plus one
+        interval at the bits its shorter endpoint lacks, rounded once: that
+        interval is m units wide (m radical terms) around a value of at
+        least 2^(need - 1) units, so its width is below 2^-62 of a step in
+        the last digit, and endpoints more than one digit apart raise
+        ArithmeticError.  If they round to adjacent strings, the exact sign
+        of the value minus the rational midpoint between them picks one,
+        and a value on the midpoint (a rational held with cancelling
+        radicals) takes the even one.
         """
         if not self._t:
             if not self._c:
@@ -439,13 +441,9 @@ class RadicalSum:
             bits, lo, hi = 0, self._c, self._c
         else:
             need = (10**significant).bit_length() + len(self._t).bit_length() + 64
-            if floor is None:
-                bits = 64
-                while bits < need:
-                    bits *= 2
-            else:
-                # |value*den*2^bits| >= 2^(floor + bitlen(den) - 1 + bits) = 2^need
-                bits = max(need - floor - self.den.bit_length() + 1, 64)
+            bits = 64
+            while bits < need:
+                bits *= 2
             enc = self._enclose(bits)
             if enc is None:
                 return "0"
@@ -489,19 +487,32 @@ def _pick_split_prime(rads: list[int]) -> int:
 def _round_pair(x: int, y: int, d: int, significant: int) -> tuple[int, int, int]:
     """(e, a, b) for 0 < x <= y and d > 0: 10^e <= x/d < 10^(e+1), and a and b
     are x/d and y/d times 10^(significant - 1 - e), rounded half to even."""
-    # exponent e from a bit-length estimate
+    # e from a bit-length estimate and one power of ten, then corrected by
+    # factors of ten until x/d lies in [10^(significant - 1), 10^significant)
     e = (x.bit_length() - d.bit_length()) * 30103 // 100000
-    while x * 10 ** max(0, -e) < d * 10 ** max(0, e):
-        e -= 1
-    while x * 10 ** max(0, -(e + 1)) >= d * 10 ** max(0, e + 1):
-        e += 1
-    shift = significant - 1 - e
-    if shift >= 0:
-        x, y = x * 10**shift, y * 10**shift
-    else:
-        d *= 10**-shift
+    p = 10 ** abs(significant - 1 - e)
+    x, y, d = (x * p, y * p, d) if e < significant else (x, y, d * p)
+    low = d * 10 ** (significant - 1)
+    while x < low:
+        x, y, e = x * 10, y * 10, e - 1
+    while x >= low * 10:
+        d, low, e = d * 10, low * 10, e + 1
     a = _round_half_even(x, d)
     return e, a, a if y == x else _round_half_even(y, d)
+
+
+def _quotient_decimal(neg: bool, lo: tuple[int, int], hi: tuple[int, int], bits: int,
+                      significant: int) -> str | None:
+    """The decimal string of v, negative if ``neg``, from positive integers
+    with lo[0]/lo[1] <= |v|*2^bits <= hi[0]/hi[1] and |v| < 2, or None if the
+    two ends round to different strings.  Each end is rounded outward to
+    about ``need`` bits before :func:`_round_pair` scales it."""
+    need = (10**significant).bit_length() + 64
+    k = need + lo[1].bit_length() - lo[0].bit_length()
+    x, y = (lo[0] << k) // lo[1], -((-hi[0] << k) // hi[1])
+    # x >= 2^(need - 1) and |v| < 2, so bits + k >= need - 2
+    e, a, b = _round_pair(x, y, 1 << (bits + k), significant)
+    return _format_decimal(neg, a, e, significant) if a == b else None
 
 
 def _round_half_even(n: int, d: int) -> int:

@@ -7,7 +7,9 @@ used in the proof of the refined bound as exact sign checks.
 
 A scan decides each row's sign in tail form, from integers of the size of
 q_n, and builds the row's margin |x - p_n/q_n| - 1/f(q_n) only when it is
-read (see :func:`verify_bound_scan`).
+read (see :func:`verify_bound_scan`).  A row's digits come from the tail
+form as well, from enclosures whose size does not grow with q_n (see
+:meth:`VerificationRecord.margin_decimal`).
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from .cf import (
     _error_term,
     _purely_periodic_value,
 )
-from .exact import MixedFieldError, QuadSurd, RadicalSum, _interval, _sign_surd, radical_sign
+from .exact import MixedFieldError, QuadSurd, RadicalSum, radical_sign
+from .exact import _interval, _quotient_decimal, _sign_surd
 
 __all__ = [
     "NumberInput",
@@ -64,7 +67,8 @@ class VerificationRecord:
     when the scan made the record, and ``outcome`` is read off it.
     ``margin``, that difference as a canonical RadicalSum, is built when it
     is first read and then kept; a row whose sign needed it keeps the one
-    the scan built.  :meth:`margin_decimal` renders it without building it.
+    the scan built.  :meth:`margin_decimal` renders it without building it,
+    unless its digits need the exact tie-break.
     """
 
     n: int
@@ -92,18 +96,26 @@ class VerificationRecord:
 
     def margin_decimal(self, significant: int = 50) -> str:
         """``margin.decimal(significant)``.  A row decided in tail form
-        renders the direct difference with (k^2+4) q^2 + 4 left unsplit,
-        from the one interval that the tail numerator's magnitude says the
-        digits need."""
+        renders its margin, which is exactly f W/(q^2 G T): W is the
+        numerator (g - T) g.den T.den/f from :func:`_numerator`, G and T are
+        the numerators of g and T, and f = gcd(g.den, T.den).  Each of W, G
+        and T is enclosed to about ``need`` bits of its own size
+        (:func:`_abs_enclosure`), so no ``isqrt`` operand grows with q, and both
+        ends of the quotient are rounded.  Ends that round to different
+        strings defer to the canonical margin's exact tie-break."""
         if not self.margin_sign:
             return "0"
         if self._tail is None:
             return self.margin.decimal(significant)
         (c, terms), g, t, enc = self._tail
-        # |margin| >= |W|/(q^2 (g.den g)(t.den T)) > |W|/2^bits
-        bits = 2 * self.q.bit_length() + _bits_above(g) + _bits_above(t)
-        direct = _error_term(self.value, self.p, self.q) - bound_rhs(self.spec, self.q, False)
-        return direct.decimal(significant, _floor_log2(c, terms, enc) - bits)
+        need = (10**significant).bit_length() + 64
+        bw, wl, wh = _abs_enclosure(c, terms, need, enc)
+        bg, gl, gh = _abs_enclosure(g[0], g[1], need)
+        bt, tl, th = _abs_enclosure(t[0], t[1], need)
+        f, q2 = gcd(g[2], t[2]), self.q * self.q
+        lo, hi = (f * wl, q2 * gh * th), (f * wh, q2 * gl * tl)
+        text = _quotient_decimal(self.margin_sign < 0, lo, hi, bw - bg - bt, significant)
+        return text or self.margin.decimal(significant)
 
 
 def coerce_number(x: NumberInput) -> tuple[Exact, CFExpansion]:
@@ -191,25 +203,31 @@ def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
     return td * gc - gd * tc, [(r, n) for r, n in acc.items() if n]
 
 
-def _bits_above(s: Surd) -> int:
-    """B with |c| + sum |n|*sqrt(r) < 2^B, so that 0 < s*den < 2^B."""
-    c, terms, _ = s
-    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() + 1) // 2 for r, n in terms])
-    return top + len(terms).bit_length()
-
-
-def _floor_log2(c: int, terms: list[tuple[int, int]], enc: Optional[tuple[int, int, int]]) -> int:
-    """e with |c + sum n*sqrt(r)| >= 2^e, for a nonzero value, from ``enc``
-    (bits, lo, hi) of :func:`_interval` if it excludes zero, else from the
-    first interval from 64 bits up that does."""
-    bits = 64
+def _floor_log2(c: int, terms: list[tuple[int, int]], enc: Optional[tuple] = None) -> int:
+    """e with |c + sum n*sqrt(r)| >= 2^e, for a nonzero value: from the bit
+    lengths if no term is negative, else from ``enc`` (bits, lo, hi) of
+    :func:`_interval` if it excludes zero, else from the first interval that
+    does, starting about 64 bits below the largest term's length."""
+    # the largest term is at least 2^(top - 1): sqrt(r) >= 2^((bitlen(r) - 1) // 2)
+    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() - 1) // 2 for r, n in terms])
+    if enc is None and c >= 0 and all(n > 0 for _, n in terms):
+        return top - 1
+    rel = 64
     while enc is None:
-        lo, hi = _interval(c, terms, bits)
+        lo, hi = _interval(c, terms, rel - top)
         if lo > 0 or hi < 0:
-            enc = bits, lo, hi
-        bits *= 2
+            enc = rel - top, lo, hi
+        rel *= 2
     bits, lo, hi = enc
     return min(abs(lo), abs(hi)).bit_length() - 1 - bits
+
+
+def _abs_enclosure(c: int, terms: list[tuple[int, int]], need: int, enc=None) -> tuple:
+    """(bits, lo, hi) with lo <= |c + sum n*sqrt(r)|*2^bits <= hi from one
+    :func:`_interval`, at the bits that put the nonzero value at 2^need or
+    more, so lo > 2^need - m - 1 for m terms."""
+    bits = need - _floor_log2(c, terms, enc)
+    return (bits, *sorted(map(abs, _interval(c, terms, bits))))
 
 
 # ---------------------------------------------------------------------------

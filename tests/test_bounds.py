@@ -131,15 +131,6 @@ def test_threshold_is_one_over_q_squared_g(kind):
             assert (g * (q * q) * bound_rhs(spec, q) - 1).sign() == 0, (kind, k, q)
 
 
-@pytest.mark.parametrize("kind", BOUND_KINDS)
-def test_unsplit_threshold_has_the_same_value(kind):
-    # d q^2 + 4 = 9 at k = 1, q = 1 is a square the unsplit form keeps as a radicand
-    for k in (1, 2, 5):
-        for q in (1, 2, 7, 10**30 + 7):
-            spec = _spec(kind, k)
-            assert (bound_rhs(spec, q, False) - bound_rhs(spec, q)).sign() == 0
-
-
 def test_requires_k_for_parametric_bounds():
     with pytest.raises(ValueError):
         BoundSpec("refined_f")

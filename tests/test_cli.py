@@ -77,6 +77,22 @@ def test_lemmas_range():
     assert any(r["lemma"] == "R5" for r in rows)
 
 
+def test_lemmas_sign_each_margin_once(monkeypatch):
+    signed = []
+    sign = exact.RadicalSum.sign
+
+    def recording(self):
+        signed.append(self)  # kept alive, so ids stay distinct
+        return sign(self)
+
+    monkeypatch.setattr(exact.RadicalSum, "sign", recording)
+    code, out = run_cli(["lemmas", "--k-range", "1..4", "--depth", "2"])
+    assert code == 0
+    ids = [id(m) for m in signed]
+    assert len(ids) == len(set(ids))
+    assert len(out.splitlines()) <= len(ids)
+
+
 def test_lemmas_exit_1_on_failing_case():
     code, out = run_cli(["lemmas", "--k-range", "1..1", "--depth", "1"])
     rows = [json.loads(line) for line in out.splitlines()]

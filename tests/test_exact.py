@@ -534,70 +534,57 @@ def test_sign_and_decimal_share_one_enclosure(c0, terms):
 
 
 def test_verify_takes_one_enclosure_per_margin(monkeypatch):
-    # a row decided in tail form takes no sign of a RadicalSum with radicals
-    # beyond the error term's one comparison, and one interval, for its decimal
-    seen = []
-    signs = [0]
-    interval, sign = RadicalSum.interval, RadicalSum.sign
+    # a row decided in tail form takes no RadicalSum interval or decimal: its
+    # digits come from enclosures of g - T, g and T at the bits the digits
+    # need, so no isqrt operand of the rendering grows with depth
+    calls = []
+    interval, decimal = RadicalSum.interval, RadicalSum.decimal
 
     def recording_interval(self, bits):
-        seen.append((bits, signs[0] > 0))
+        calls.append("interval")
         return interval(self, bits)
 
-    def recording_sign(self):
-        signs[0] += 1
-        try:
-            return sign(self)
-        finally:
-            signs[0] -= 1
+    def recording_decimal(self, significant=50):
+        calls.append("decimal")
+        return decimal(self, significant)
 
     argv = ["verify", "surd:(3+2*sqrt(7))/5", "--bound", "refined_f", "--k", "2", "--n", "200"]
     monkeypatch.setattr(RadicalSum, "interval", recording_interval)
-    monkeypatch.setattr(RadicalSum, "sign", recording_sign)
+    monkeypatch.setattr(RadicalSum, "decimal", recording_decimal)
     assert main(argv, out=io.StringIO()) == 0
     monkeypatch.undo()
-    records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), 200)
-    assert all(r._tail is not None for r in records)  # no row needed its margin
-    irrational = sum(not r.margin.is_rational for r in records)
-    assert irrational == 201
-    assert len(seen) <= irrational
-    assert not any(in_sign for _, in_sign in seen)
+    assert calls == []
+    widest = {}
+    for n in (200, 1600):
+        records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), n)
+        assert all(r._tail is not None for r in records)  # no row needed its margin
+        sizes = []
+        monkeypatch.setattr(exact, "isqrt", lambda v: sizes.append(v.bit_length()) or isqrt(v))
+        for r in records:
+            r.margin_decimal(50)
+        monkeypatch.undo()
+        widest[n] = max(sizes)
+    assert widest[1600] <= widest[200] + 64
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+    st.integers(min_value=-(2**10_000), max_value=2**10_000),
     st.lists(
         st.tuples(
-            st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
-            st.integers(min_value=2, max_value=500),
+            st.integers(min_value=1, max_value=2**1000),
+            st.integers(min_value=-(2**4000), max_value=2**4000),
         ),
-        min_size=1,
-        max_size=4,
+        max_size=3,
     ),
-    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-400, max_value=400),
 )
-def test_decimal_from_a_floor_takes_one_interval(c0, terms, slack):
-    r = RadicalSum(c0, terms)
-    if r.is_rational or r.sign() == 0:
-        return
-    expected = r.decimal(50)
-    # the largest e with |value| >= 2^e, then a looser floor
-    lo, hi = r.interval(2000)
-    floor = min(abs(lo), abs(hi)).bit_length() - 1 - 2000 - r.den.bit_length() - slack
-    calls = []
-    interval = RadicalSum.interval
-
-    def counting(self, bits):
-        calls.append(bits)
-        return interval(self, bits)
-
-    RadicalSum.interval = counting
-    try:
-        assert RadicalSum(c0, terms).decimal(50, floor) == expected
-    finally:
-        RadicalSum.interval = interval
-    assert len(calls) == 1
+def test_interval_at_any_bits_encloses_the_scaled_value(c, terms, bits):
+    lo, hi = exact._interval(c, terms, bits)
+    scale = Fraction(2) ** bits
+    value = RadicalSum(c * scale, [(n * scale, r) for r, n in terms])
+    assert (value - lo).sign() >= 0 and (hi - value).sign() >= 0
+    assert hi - lo <= len(terms) + 1
 
 
 _huge_fraction = st.builds(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbounds import verify
+from cfbounds import exact, verify
 from cfbounds.bounds import BoundSpec, Outcome, bound_rhs
 from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
 from cfbounds.exact import QuadSurd, RadicalSum
@@ -145,11 +145,58 @@ def test_margin_decimal_equals_the_canonical_margins_decimal():
     rng = random.Random(7)
     xs = [make_random_surd(rng, dmax=300) for _ in range(6)]
     xs += [GOLDEN, alpha1(2) + 1, Fraction(355, 113)]
+    xs += [alpha1(3) + t for t in (-2, 0, 3)] + [alpha2(3) + t for t in (-2, 0, 3)]
     for x in xs:
         depth = len(expand_rational(x)) - 1 if isinstance(x, Fraction) else 40
         for spec in _ALL_SPECS:
             for r in verify_bound_scan(x, spec, depth):
                 assert r.margin_decimal(50) == r.margin.decimal(50), (x, spec, r.n)
+    # deep rows, where q has about 450 bits
+    x = QuadSurd.make(3, 2, 5, 7)
+    for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair")):
+        for r in verify_bound_scan(x, spec, 300):
+            assert r.margin_decimal(50) == r.margin.decimal(50), (spec, r.n)
+
+
+def test_tail_digits_are_rounded_from_an_enclosure_of_the_margin(monkeypatch):
+    ends = []
+    round_pair = exact._round_pair
+
+    def recording(x, y, d, significant):
+        ends.append((x, y, d))
+        return round_pair(x, y, d, significant)
+
+    monkeypatch.setattr(exact, "_round_pair", recording)
+    for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair")):
+        for r in verify_bound_scan(QuadSurd.make(3, 2, 5, 7), spec, 40):
+            ends.clear()
+            r.margin_decimal(50)
+            ((x, y, d),) = ends
+            size = r.margin * r.margin_sign
+            assert (size - Fraction(x, d)).sign() >= 0 and (Fraction(y, d) - size).sign() >= 0
+
+
+def test_margin_decimal_defers_adjacent_ends_to_the_canonical_decimal(monkeypatch):
+    # ends that round one digit apart leave the choice to the exact tie-break
+    # of the canonical margin's decimal, which still finds the right string
+    x = QuadSurd.make(3, 2, 5, 7)
+    records = verify_bound_scan(x, BoundSpec("refined_f", 2), 60)
+    assert all(r._tail is not None for r in records)
+    expected = [r.margin_decimal(50) for r in records]
+    round_pair, decimal, calls = exact._round_pair, RadicalSum.decimal, []
+
+    def adjacent(*args):
+        e, a, _ = round_pair(*args)
+        return e, a, a + 1
+
+    def counting(self, significant=50):
+        calls.append(self)
+        return decimal(self, significant)
+
+    monkeypatch.setattr(exact, "_round_pair", adjacent)
+    monkeypatch.setattr(RadicalSum, "decimal", counting)
+    assert [r.margin_decimal(50) for r in records] == expected
+    assert len(calls) == len(records)
 
 
 def test_scan_takes_the_value_cf_pair(monkeypatch):
