@@ -6,7 +6,7 @@ Everything is computed in exact arithmetic: rationals as
 square roots via :class:`~cfbounds.exact.RadicalSum`, whose sign is
 decided with certified integer interval arithmetic (never floats).
 """
-from .bounds import BOUND_KINDS, BoundSpec, Outcome, bound_rhs, f_value
+from .bounds import BOUND_KINDS, BoundSpec, Outcome, f_value
 from .cf import (
     CFExpansion,
     Convergent,
@@ -69,7 +69,6 @@ __all__ = [
     "VerificationRecord",
     "alpha1",
     "alpha2",
-    "bound_rhs",
     "cf_value",
     "check_lemma",
     "classical_window_check",

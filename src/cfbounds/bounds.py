@@ -1,34 +1,20 @@
-"""Catalogue of approximation thresholds, stored as exact right-hand sides.
+"""Catalogue of approximation thresholds.
 
-Every bound is exposed as the value 1/f(q) that an approximation error
-|x - p/q| is compared against, as an exact :class:`RadicalSum`.  Each
-threshold is 1/(q^2 g(q)) for the g(q) in the last column, which
-:func:`bound_g` returns as integers:
+Every bound compares an approximation error |x - p/q| with a threshold
+1/(q^2 g(q)), and :func:`bound_g` returns g(q) exactly, as integers:
 
-    dirichlet    1/q^2                                        1
-    hurwitz      1/(sqrt(5) q^2)                              sqrt(5)
-    vahlen       1/(2 q^2)         (pair witness)             2
-    borel        1/(sqrt(5) q^2)   (triple witness)           sqrt(5)
-    hancl_nair   1/((sqrt(5) + (4 - 5*sqrt(5) + sqrt(61))/(2 q^2)) q^2)
-                                            sqrt(5) + (4 - 5*sqrt(5) + sqrt(61))/(2 q^2)
-    nathanson    1/(sqrt(k^2+4) q^2)                          sqrt(k^2+4)
-    hancl_g      refined_f at k = 1                           refined_f's, k = 1
-    refined_f    1/f(q),  f(q) = (q^2 sqrt(k^2+4)/2)(1 + sqrt(1 + 4/((k^2+4) q^2)))
-                                            (q sqrt(k^2+4) + sqrt((k^2+4) q^2 + 4))/(2q)
+    dirichlet    1
+    hurwitz      sqrt(5)
+    vahlen       2                                        (pair witness)
+    borel        sqrt(5)                                  (triple witness)
+    hancl_nair   sqrt(5) + (4 - 5*sqrt(5) + sqrt(61))/(2 q^2)
+    nathanson    sqrt(k^2+4)
+    hancl_g      refined_f's, at k = 1
+    refined_f    (q sqrt(k^2+4) + sqrt((k^2+4) q^2 + 4))/(2q)
 
-For refined_f the reciprocal collapses to the two-radical form
-
-    1/f(q) = (sqrt((k^2+4) q^2 + 4) - q sqrt(k^2+4)) / (2 q),
-
-verified symbolically against f(q) in the test suite.
-
-For hancl_nair, with u = 2q^2 - 5, B = 5u^2 - 45, C = 8u and
-N = B^2 - 5C^2, the denominator is rationalised in closed form:
-
-    2/(4 + u sqrt(5) + sqrt(61)) = 2(4 + u sqrt(5) - sqrt(61))(B - C sqrt(5))/N
-        = 2(4B - 5uC + (uB - 4C) sqrt(5) - B sqrt(61) + C sqrt(305))/N,
-
-since (4 + u sqrt(5))^2 - 61 = B + C sqrt(5).
+For refined_f, q^2 g(q) is the paper's
+f(q) = (q^2 sqrt(k^2+4)/2)(1 + sqrt(1 + 4/((k^2+4) q^2))) (:func:`f_value`),
+so its threshold is 1/f(q).
 """
 from __future__ import annotations
 
@@ -43,7 +29,6 @@ __all__ = [
     "BoundSpec",
     "Outcome",
     "bound_g",
-    "bound_rhs",
     "f_value",
 ]
 
@@ -108,48 +93,3 @@ def bound_g(spec: BoundSpec, q: int) -> tuple[int, list[tuple[int, int]], int]:
     if kind == "nathanson":
         return 0, [(r, s)], 1
     return 0, [(r, s * q), (d * q * q + 4, 1)], 2 * q
-
-
-def _refined_rhs(k: int, q: int) -> RadicalSum:
-    # (s1 sqrt(k1) - q s2 sqrt(k2)) / (2q) in one _make; k2 > 1 because
-    # k^2 + 4 is never a square, while d q^2 + 4 can be one (d = 5, q = 1)
-    d = k * k + 4
-    s1, k1 = square_free_split(d * q * q + 4)
-    s2, k2 = square_free_split(d)
-    pairs = [(k2, -q * s2)]
-    if k1 == 1:
-        return RadicalSum._make(s1, pairs, 2 * q)
-    return RadicalSum._make(0, [(k1, s1), *pairs], 2 * q)
-
-
-def bound_rhs(spec: BoundSpec, q: int) -> RadicalSum:
-    """The exact threshold to compare |x - p/q| against, in canonical form."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    kind = spec.kind
-    if kind == "dirichlet":
-        return RadicalSum(Fraction(1, q * q))
-    if kind in ("hurwitz", "borel"):
-        return RadicalSum(0, [(Fraction(1, 5 * q * q), 5)])
-    if kind == "vahlen":
-        return RadicalSum(Fraction(1, 2 * q * q))
-    if kind == "hancl_g":
-        return _refined_rhs(1, q)
-    if kind == "nathanson":
-        d = spec.k * spec.k + 4
-        return RadicalSum(0, [(Fraction(1, d * q * q), d)])
-    if kind == "refined_f":
-        return _refined_rhs(spec.k, q)
-    # hancl_nair, rationalised in closed form (see the module docstring).
-    # N != 0 for every q >= 1: at q = 1, 2 we get B = 0 and N = -5C^2, where
-    # C != 0 because u is odd; otherwise B^2 = 5C^2 would make sqrt5 rational.
-    # The sign of N moves into the numerators, since den must be positive.
-    u = 2 * q * q - 5
-    b, c = 5 * u * u - 45, 8 * u
-    n = b * b - 5 * c * c
-    s = 2 if n > 0 else -2
-    return RadicalSum._make(
-        s * (4 * b - 5 * u * c),
-        [(5, s * (u * b - 4 * c)), (61, -s * b), (305, s * c)],
-        abs(n),
-    )

@@ -250,8 +250,9 @@ def _error_term(value: Union[Fraction, QuadSurd], p: int, q: int) -> RadicalSum:
 
 
 def error_identity(x: QuadSurd, cf: CFExpansion, n: int) -> RadicalSum:
-    """|x - p_n/q_n| computed directly, as a scan row's margin is, and via the
-    tail identity, as a scan row's sign is.
+    """|x - p_n/q_n| computed directly from x's integers, and via the tail
+    identity 1/(q_n^2 (alpha_{n+1} + q_{n-1}/q_n)), on which a scan row's
+    sign and digits rest.
 
     Both routes are evaluated exactly; a mismatch raises
     :class:`IdentityMismatch`.

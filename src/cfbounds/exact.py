@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 __all__ = [
     "QuadSurd",
@@ -429,11 +429,7 @@ class RadicalSum:
         interval at the bits its shorter endpoint lacks, rounded once: that
         interval is m units wide (m radical terms) around a value of at
         least 2^(need - 1) units, so its width is below 2^-62 of a step in
-        the last digit, and endpoints more than one digit apart raise
-        ArithmeticError.  If they round to adjacent strings, the exact sign
-        of the value minus the rational midpoint between them picks one,
-        and a value on the midpoint (a rational held with cancelling
-        radicals) takes the even one.
+        the last digit.  Endpoints that round apart go to :func:`_settle`.
         """
         if not self._t:
             if not self._c:
@@ -454,15 +450,8 @@ class RadicalSum:
                 lo, hi = self.interval(bits)
         neg = hi < 0
         e, a, b = _round_pair(-hi if neg else lo, -lo if neg else hi, self.den << bits, significant)
-        if b - a > 1:
-            raise ArithmeticError("decimal enclosure spans more than one last-digit step")
-        if b > a and a < 10**significant:
-            # lo and hi straddle the midpoint t between a and b
-            k = significant - 1 - e
-            t = Fraction((2 * a + 1) * 10 ** max(0, -k), 2 * 10 ** max(0, k))
-            side = -(self + t).sign() if neg else (self - t).sign()
-            if side > 0 or (side == 0 and a & 1):
-                a = b
+        if b != a:
+            a = _settle(e, a, b, significant, lambda t: -(self + t).sign() if neg else (self - t).sign())
         return _format_decimal(neg, a, e, significant)
 
     def __repr__(self) -> str:
@@ -501,18 +490,39 @@ def _round_pair(x: int, y: int, d: int, significant: int) -> tuple[int, int, int
     return e, a, a if y == x else _round_half_even(y, d)
 
 
+def _settle(e: int, a: int, b: int, significant: int, side: Callable[[Fraction], int]) -> int:
+    """The digits of a nonzero |v|, a or b, for ends a < b of an enclosure
+    of |v| that :func:`_round_pair` rounded apart (with exponent e).
+
+    Ends more than one digit apart raise ArithmeticError.  Adjacent ends
+    straddle the rational midpoint t between a and b, and ``side(t)``, the
+    exact sign of |v| - t, picks one; a value on the midpoint (a rational
+    held with cancelling radicals) takes the even one.
+    """
+    if b - a > 1:
+        raise ArithmeticError("decimal enclosure spans more than one last-digit step")
+    if a < 10**significant:
+        k = significant - 1 - e
+        s = side(Fraction((2 * a + 1) * 10 ** max(0, -k), 2 * 10 ** max(0, k)))
+        if s > 0 or (s == 0 and a & 1):
+            return b
+    return a
+
+
 def _quotient_decimal(neg: bool, lo: tuple[int, int], hi: tuple[int, int], bits: int,
-                      significant: int) -> str | None:
+                      significant: int, side: Callable[[Fraction], int]) -> str:
     """The decimal string of v, negative if ``neg``, from positive integers
-    with lo[0]/lo[1] <= |v|*2^bits <= hi[0]/hi[1] and |v| < 2, or None if the
-    two ends round to different strings.  Each end is rounded outward to
-    about ``need`` bits before :func:`_round_pair` scales it."""
+    with lo[0]/lo[1] <= |v|*2^bits <= hi[0]/hi[1] and |v| < 2.  Each end is
+    rounded outward to about ``need`` bits before :func:`_round_pair` scales
+    it; ends that round apart go to :func:`_settle`, with ``side`` as there."""
     need = (10**significant).bit_length() + 64
     k = need + lo[1].bit_length() - lo[0].bit_length()
     x, y = (lo[0] << k) // lo[1], -((-hi[0] << k) // hi[1])
     # x >= 2^(need - 1) and |v| < 2, so bits + k >= need - 2
     e, a, b = _round_pair(x, y, 1 << (bits + k), significant)
-    return _format_decimal(neg, a, e, significant) if a == b else None
+    if b != a:
+        a = _settle(e, a, b, significant, side)
+    return _format_decimal(neg, a, e, significant)
 
 
 def _round_half_even(n: int, d: int) -> int:

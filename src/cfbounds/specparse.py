@@ -25,8 +25,10 @@ __all__ = ["DecPrefix", "NumberSpec", "SpecParseError", "parse_number", "render"
 
 
 class SpecParseError(ValueError):
-    def __init__(self, message: str, pos: int = 0):
-        super().__init__(f"{message} (at position {pos})")
+    """A malformed or refused spec; ``pos`` is where in the text, if anywhere."""
+
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
         self.pos = pos
 
 

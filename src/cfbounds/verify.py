@@ -6,9 +6,9 @@ equality attainers, decides membership in F(k) (partial quotients all
 used in the proof of the refined bound as exact sign checks.
 
 A scan decides each row's sign in tail form, from integers of the size of
-q_n, and builds the row's margin |x - p_n/q_n| - 1/f(q_n) only when it is
-read (see :func:`verify_bound_scan`).  A row's digits come from the tail
-form as well, from enclosures whose size does not grow with q_n (see
+q_n, and builds no margin |x - p_n/q_n| - 1/f(q_n) (see
+:func:`verify_bound_scan`).  A row's digits come from the tail form as well,
+from enclosures whose size does not grow with q_n (see
 :meth:`VerificationRecord.margin_decimal`).
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .bounds import BoundSpec, Outcome, bound_g, bound_rhs, f_value
+from .bounds import BoundSpec, Outcome, bound_g, f_value
 from .cf import (
     CFExpansion,
     alpha1,
@@ -27,7 +27,6 @@ from .cf import (
     convergents,
     expand_rational,
     expand_surd,
-    _error_term,
     _purely_periodic_value,
 )
 from .exact import MixedFieldError, QuadSurd, RadicalSum, radical_sign
@@ -61,52 +60,41 @@ Surd = tuple[int, list[tuple[int, int]], int]
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Convergent n, p/q of ``value`` against the bound ``spec``.
+    """Convergent n, p/q of a scan, and the sign of its margin
+    |x - p/q| - 1/f(q) against the scan's bound.
 
-    ``margin_sign`` is the sign of |x - p/q| minus the threshold, decided
-    when the scan made the record, and ``outcome`` is read off it.
-    ``margin``, that difference as a canonical RadicalSum, is built when it
-    is first read and then kept; a row whose sign needed it keeps the one
-    the scan built.  :meth:`margin_decimal` renders it without building it,
-    unless its digits need the exact tie-break.
+    ``margin_sign`` is decided when the scan makes the record, and
+    ``outcome`` is read off it.  The private tail holds the margin exactly,
+    as f W/(q^2 G T) in integers of the size of q, and
+    :meth:`margin_decimal` renders its digits from there.
     """
 
     n: int
     p: int
     q: int
     margin_sign: int
-    value: Exact = field(repr=False)
-    spec: BoundSpec = field(repr=False)
-    # (W, g, T, enc) of a row decided in tail form: W = (c, terms) from
-    # _numerator, and enc the 64-bit interval of W that decided it, if any
-    _tail: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _margin: Optional[RadicalSum] = field(default=None, repr=False, compare=False)
+    # (W, g, T, enc) with the margin f W/(q^2 G T): W = (c, terms), g and T
+    # as Surd, and enc the 64-bit interval of W that decided the sign, if any
+    _tail: tuple = field(repr=False, compare=False)
 
     @property
     def outcome(self) -> Outcome:
         s = self.margin_sign
         return Outcome.HOLDS_STRICT if s < 0 else Outcome.HOLDS_EQUAL if s == 0 else Outcome.FAILS
 
-    @property
-    def margin(self) -> RadicalSum:
-        if self._margin is None:
-            margin = _error_term(self.value, self.p, self.q) - bound_rhs(self.spec, self.q)
-            object.__setattr__(self, "_margin", margin)
-        return self._margin
-
     def margin_decimal(self, significant: int = 50) -> str:
-        """``margin.decimal(significant)``.  A row decided in tail form
-        renders its margin, which is exactly f W/(q^2 G T): W is the
-        numerator (g - T) g.den T.den/f from :func:`_numerator`, G and T are
-        the numerators of g and T, and f = gcd(g.den, T.den).  Each of W, G
-        and T is enclosed to about ``need`` bits of its own size
-        (:func:`_abs_enclosure`), so no ``isqrt`` operand grows with q, and both
-        ends of the quotient are rounded.  Ends that round to different
-        strings defer to the canonical margin's exact tie-break."""
-        if not self.margin_sign:
+        """The margin to ``significant`` digits, correctly rounded ("0" for
+        a zero margin).  The margin is exactly f W/(q^2 G T): W has the
+        margin's sign, G and T are the (positive) numerators of g and T, and
+        f = gcd(g.den, T.den).  Each of W, G and T is enclosed to about
+        ``need`` bits of its own size (:func:`_abs_enclosure`), so no
+        ``isqrt`` operand grows with q, and both ends of the quotient are
+        rounded.  Ends that round to different strings are settled by the
+        exact sign of f |W| - mid q^2 G T, a RadicalSum product with no
+        division, for the midpoint ``mid`` between them."""
+        sign = self.margin_sign
+        if not sign:
             return "0"
-        if self._tail is None:
-            return self.margin.decimal(significant)
         (c, terms), g, t, enc = self._tail
         need = (10**significant).bit_length() + 64
         bw, wl, wh = _abs_enclosure(c, terms, need, enc)
@@ -114,8 +102,13 @@ class VerificationRecord:
         bt, tl, th = _abs_enclosure(t[0], t[1], need)
         f, q2 = gcd(g[2], t[2]), self.q * self.q
         lo, hi = (f * wl, q2 * gh * th), (f * wh, q2 * gl * tl)
-        text = _quotient_decimal(self.margin_sign < 0, lo, hi, bw - bg - bt, significant)
-        return text or self.margin.decimal(significant)
+
+        def side(mid: Fraction) -> int:
+            # |margin| - mid has the sign of f |W| - mid q^2 G T
+            w, gn, tn = _radical(c, terms), _radical(*g[:2]), _radical(*t[:2])
+            return (w * (sign * f * mid.denominator) - gn * tn * (mid.numerator * q2)).sign()
+
+        return _quotient_decimal(sign < 0, lo, hi, bw - bg - bt, significant, side)
 
 
 def coerce_number(x: NumberInput) -> tuple[Exact, CFExpansion]:
@@ -152,8 +145,9 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     integers of g - T over a positive denominator, like radicands merged,
     decide its sign exactly with at most one radical (on the equality rows
     they merge to one), else by one 64-bit interval.  Only when that
-    interval holds zero is the canonical margin built, for its exact sign,
-    and the record keeps it.
+    interval holds zero is W built as a canonical RadicalSum, whose sign is
+    exact at any size.  A rational's last convergent, with error 0, has the
+    margin -1/(q^2 g) = -g.den/(q^2 G), so its tail is W = -g.den over T = 1.
     """
     value, cf = coerce_number(x)
     if isinstance(value, Fraction):
@@ -166,25 +160,30 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
         # x - p/q = (u + w sqrt(d))/(c q), so T = c/(q |u + w sqrt(d)|)
         u, w = a * q - p * c, b * q
         norm = u * u - w * w * d
+        g = bound_g(spec, q)
         if not norm:  # x = p/q: the error is 0 and the threshold positive
-            records.append(VerificationRecord(n, p, q, -1, value, spec))
+            records.append(VerificationRecord(n, p, q, -1, ((-g[2], []), g, (1, [], 1), None)))
             continue
         s = _sign_surd(u, w, d) * (1 if norm > 0 else -1)
         t = (s * c * u, [(d, -s * c * w)], q * abs(norm))
-        g = bound_g(spec, q)
         num = const, terms = _numerator(g, t)
+        enc = None
         if len(terms) <= 1:
             r, m = terms[0] if terms else (1, 0)
-            sign, enc = _sign_surd(const, m, r), None
+            sign = _sign_surd(const, m, r)
         else:
             lo, hi = _interval(const, terms, 64)
             if lo <= 0 <= hi:
-                margin = _error_term(value, p, q) - bound_rhs(spec, q)
-                records.append(VerificationRecord(n, p, q, margin.sign(), value, spec, _margin=margin))
-                continue
-            sign, enc = (1 if lo > 0 else -1), (64, lo, hi)
-        records.append(VerificationRecord(n, p, q, sign, value, spec, (num, g, t, enc)))
+                sign = _radical(const, terms).sign()
+            else:
+                sign, enc = (1 if lo > 0 else -1), (64, lo, hi)
+        records.append(VerificationRecord(n, p, q, sign, (num, g, t, enc)))
     return records
+
+
+def _radical(c: int, terms: list[tuple[int, int]]) -> RadicalSum:
+    """c + sum n*sqrt(r) as a canonical RadicalSum (radicands split)."""
+    return RadicalSum(c, [(n, r) for r, n in terms])
 
 
 def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:

@@ -4,7 +4,9 @@ from math import isqrt
 
 import pytest
 
-from cfbounds.exact import QuadSurd
+from cfbounds.bounds import bound_g
+from cfbounds.cf import _error_term
+from cfbounds.exact import QuadSurd, RadicalSum
 
 
 def make_random_surd(rng: random.Random, dmax: int = 400) -> QuadSurd:
@@ -22,3 +24,15 @@ def make_random_surd(rng: random.Random, dmax: int = 400) -> QuadSurd:
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+def g_value(spec, q: int) -> RadicalSum:
+    """g(q) of the threshold 1/(q^2 g(q)), from bound_g, as a canonical RadicalSum."""
+    c, terms, den = bound_g(spec, q)
+    return RadicalSum(Fraction(c, den), [(Fraction(n, den), r) for r, n in terms])
+
+
+def direct_margin(x, spec, p: int, q: int) -> RadicalSum:
+    """Oracle for a scan row's margin |x - p/q| - 1/(q^2 g(q)), built directly:
+    the error from x's integers, the threshold by inverting g(q)."""
+    return _error_term(x, p, q) - g_value(spec, q).inverse() * Fraction(1, q * q)

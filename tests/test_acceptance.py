@@ -30,8 +30,7 @@ from math import isqrt
 import mpmath
 import pytest
 
-from cfbounds.bounds import BoundSpec, Outcome, bound_rhs
-from cfbounds.bounds import _refined_rhs, f_value
+from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import alpha1, alpha2, closed_form_pq, convergents, error_identity, expand_surd
 from cfbounds.exact import QuadSurd, RadicalSum, radical_sign
 from cfbounds.verify import (
@@ -42,6 +41,7 @@ from cfbounds.verify import (
     nathanson_applicable,
     verify_bound_scan,
 )
+from conftest import g_value
 
 mpmath.mp.dps = 200
 
@@ -114,12 +114,13 @@ def test_criterion_2_equality_uniqueness():
 def test_criterion_3_dominance():
     t0 = time.perf_counter()
     ok = True
-    # rhs comparison: refined strictly below the unrefined threshold
+    # threshold comparison: refined strictly below the unrefined threshold,
+    # so its g(q) in 1/(q^2 g(q)) is strictly above
     qs = list(range(1, 1001)) + [10**6]
     for k in range(1, 11):
         for q in qs:
-            diff = bound_rhs(BoundSpec("refined_f", k), q) - bound_rhs(BoundSpec("nathanson", k), q)
-            if radical_sign(diff) >= 0:
+            diff = g_value(BoundSpec("refined_f", k), q) - g_value(BoundSpec("nathanson", k), q)
+            if radical_sign(diff) <= 0:
                 ok = False
     # record-level: refined Holds at (x, n) implies the unrefined bound holds strictly
     pool = [(alpha1(k), k) for k in range(1, 11)] + [(x, k) for x, k, _ in _CORPUS_SCANS[:40]]
@@ -163,16 +164,21 @@ def test_criterion_6_reciprocal_simplification():
     t0 = time.perf_counter()
     ok = True
     for k in range(1, 11):
+        d = k * k + 4
         for q in range(1, 101):
-            if (f_value(k, q) * _refined_rhs(k, q) - 1).sign() != 0:
+            # 1/f(q) = (sqrt(d q^2 + 4) - q sqrt(d))/(2q), and f(q) = q^2 g(q)
+            reciprocal = RadicalSum(0, [(Fraction(1, 2 * q), d * q * q + 4), (Fraction(-1, 2), d)])
+            if (f_value(k, q) * reciprocal - 1).sign() != 0:
+                ok = False
+            if (f_value(k, q) - g_value(BoundSpec("refined_f", k), q) * (q * q)).sign() != 0:
                 ok = False
     for k, q in [(1, 10**6), (5, 999983), (10, 123456)]:
         d = k * k + 4
-        oracle = (mpmath.sqrt(d * mpmath.mpf(q) ** 2 + 4) - q * mpmath.sqrt(d)) / (2 * q)
-        got = mpmath.mpf(_refined_rhs(k, q).decimal(40))
+        oracle = (q * mpmath.sqrt(d) + mpmath.sqrt(d * mpmath.mpf(q) ** 2 + 4)) / (2 * q)
+        got = mpmath.mpf(g_value(BoundSpec("refined_f", k), q).decimal(40))
         if abs(got - oracle) > mpmath.mpf(10) ** -12 * oracle:
             ok = False
-    _report(6, ok, 5.0, time.perf_counter() - t0, "f(q) * (1/f(q)) = 1 symbolically")
+    _report(6, ok, 5.0, time.perf_counter() - t0, "f(q) * (1/f(q)) = 1 and f(q) = q^2 g(q) symbolically")
 
 
 def test_criterion_7_proof_lemmas():

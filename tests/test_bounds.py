@@ -1,15 +1,13 @@
-"""Unit tests for the approximation-bound right-hand sides."""
+"""Unit tests for the approximation-bound thresholds 1/(q^2 g(q))."""
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_g, bound_rhs, f_value
-from cfbounds.bounds import _refined_rhs
+from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_g, f_value
 from cfbounds.exact import RadicalSum, radical_sign
 from cfbounds.verify import LemmaInstance, check_lemma
+from conftest import g_value
 
 mpmath.mp.dps = 200
 
@@ -21,7 +19,8 @@ def _as_mp(r: RadicalSum) -> mpmath.mpf:
     return total
 
 
-def _oracle_rhs(kind: str, k, q) -> mpmath.mpf:
+def _oracle_threshold(kind: str, k, q) -> mpmath.mpf:
+    """The threshold each bound compares |x - p/q| with, as the literature writes it."""
     sq5 = mpmath.sqrt(5)
     if kind == "dirichlet":
         return mpmath.mpf(1) / q**2
@@ -45,24 +44,33 @@ def _oracle_rhs(kind: str, k, q) -> mpmath.mpf:
 @pytest.mark.parametrize("kind", BOUND_KINDS)
 @pytest.mark.parametrize("q", [1, 2, 7, 100])
 def test_bound_rhs_matches_oracle(kind, q):
+    # g(q) from bound_g against 1/(q^2 threshold) from the literature's form
     k = 3 if kind in ("nathanson", "refined_f") else None
-    rhs = bound_rhs(BoundSpec(kind, k), q)
-    assert abs(_as_mp(rhs) - _oracle_rhs(kind, k, q)) < mpmath.mpf(10) ** -150
+    g = g_value(BoundSpec(kind, k), q)
+    oracle = 1 / (mpmath.mpf(q) ** 2 * _oracle_threshold(kind, k, q))
+    assert abs(_as_mp(g) - oracle) < mpmath.mpf(10) ** -150
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 @pytest.mark.parametrize("q", [1, 2, 3, 10, 100, 1000, 10**6])
 def test_refined_is_strictly_below_nathanson(k, q):
-    diff = bound_rhs(BoundSpec("refined_f", k), q) - bound_rhs(BoundSpec("nathanson", k), q)
-    assert radical_sign(diff) < 0
+    # the refined threshold is below Nathanson's exactly when its g is above
+    diff = g_value(BoundSpec("refined_f", k), q) - g_value(BoundSpec("nathanson", k), q)
+    assert radical_sign(diff) > 0
+
+
+def _refined_reciprocal(k: int, q: int) -> RadicalSum:
+    """1/f(q) = (sqrt((k^2+4) q^2 + 4) - q sqrt(k^2+4))/(2q), the paper's simplification."""
+    d = k * k + 4
+    return RadicalSum(0, [(Fraction(1, 2 * q), d * q * q + 4), (Fraction(-1, 2), d)])
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10])
 @pytest.mark.parametrize("q", [1, 3, 50])
 def test_reciprocal_simplification_is_exact(k, q):
-    product = f_value(k, q) * _refined_rhs(k, q)
+    product = f_value(k, q) * _refined_reciprocal(k, q)
     assert (product - 1).sign() == 0
-    assert (bound_rhs(BoundSpec("refined_f", k), q) - _refined_rhs(k, q)).sign() == 0
+    assert (f_value(k, q) - g_value(BoundSpec("refined_f", k), q) * (q * q)).sign() == 0
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
@@ -74,61 +82,35 @@ def test_f_between_its_bracketing_values(k, q):
     assert holds
 
 
-def _hancl_nair_by_inverse(q: int) -> RadicalSum:
-    # the rationalisation the closed form replaces: 2/(4 + (2q^2 - 5) sqrt5 + sqrt61)
-    return RadicalSum(4, [(2 * q * q - 5, 5), (1, 61)]).inverse() * 2
-
-
-def test_hancl_nair_closed_form_equals_inverse():
-    # RadicalSum equality compares the integer fields, so this is field for field;
-    # q = 1, 2 are the values with N = B^2 - 5C^2 < 0
-    for q in range(1, 401):
-        assert bound_rhs(BoundSpec("hancl_nair"), q) == _hancl_nair_by_inverse(q)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=10**40))
-def test_hancl_nair_closed_form_equals_inverse_at_large_q(q):
-    assert bound_rhs(BoundSpec("hancl_nair"), q) == _hancl_nair_by_inverse(q)
-
-
-def _refined_by_constructor(k, q):
-    # the public constructor route the one-_make closed form replaces
-    return RadicalSum(0, [(Fraction(1, 2 * q), (k * k + 4) * q * q + 4), (Fraction(-1, 2), k * k + 4)])
-
-
-def _fields(r: RadicalSum):
-    return r._c, r._t, r.den
-
-
-def test_refined_closed_form_equals_constructor():
-    # k = 1, q = 1 gives the perfect square 5 + 4 = 9, whose root is the constant
-    assert _refined_rhs(1, 1).c0 == Fraction(3, 2)
-    for k in range(1, 41):
-        for q in range(1, 301):
-            assert _fields(_refined_rhs(k, q)) == _fields(_refined_by_constructor(k, q))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10**40))
-def test_refined_closed_form_equals_constructor_at_large_q(k, q):
-    assert _fields(_refined_rhs(k, q)) == _fields(_refined_by_constructor(k, q))
-
-
 def _spec(kind: str, k: int) -> BoundSpec:
     return BoundSpec(kind, k if kind in ("nathanson", "refined_f") else None)
 
 
+def _paper_denominator(kind: str, k: int, q: int) -> RadicalSum:
+    """The denominator of each threshold as the literature writes it."""
+    if kind == "dirichlet":
+        return RadicalSum(q * q)
+    if kind == "vahlen":
+        return RadicalSum(2 * q * q)
+    if kind in ("hurwitz", "borel"):
+        return RadicalSum.sqrt(5, q * q)
+    if kind == "hancl_nair":
+        # (sqrt(5) + (4 - 5 sqrt(5) + sqrt(61))/(2 q^2)) q^2
+        return RadicalSum(2, [(q * q - Fraction(5, 2), 5), (Fraction(1, 2), 61)])
+    if kind == "nathanson":
+        return RadicalSum.sqrt(k * k + 4, q * q)
+    return f_value(1 if kind == "hancl_g" else k, q)
+
+
 @pytest.mark.parametrize("kind", BOUND_KINDS)
 def test_threshold_is_one_over_q_squared_g(kind):
-    # q^2 g(q) times the threshold is exactly 1, and g's denominator is positive
+    # q^2 g(q) is exactly the threshold's denominator, and g's denominator is positive
     for k in (1, 2, 3, 4, 6):
         for q in (1, 2, 3, 5, 8, 13, 100, 10**20 + 1):
             spec = _spec(kind, k)
-            c, terms, den = bound_g(spec, q)
-            assert den > 0
-            g = RadicalSum(Fraction(c, den), [(Fraction(n, den), r) for r, n in terms])
-            assert (g * (q * q) * bound_rhs(spec, q) - 1).sign() == 0, (kind, k, q)
+            assert bound_g(spec, q)[2] > 0
+            diff = g_value(spec, q) * (q * q) - _paper_denominator(kind, k, q)
+            assert diff.sign() == 0, (kind, k, q)
 
 
 def test_requires_k_for_parametric_bounds():

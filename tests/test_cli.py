@@ -7,7 +7,7 @@ import pytest
 from cfbounds import cli, exact, verify
 from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
-from cfbounds.exact import QuadSurd
+from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import classical_window_check
 
 
@@ -195,16 +195,15 @@ def _counting(monkeypatch, module, name, counts):
 
 
 def test_report_builds_no_margin(tmp_path, monkeypatch):
-    # every row here is decided in tail form, equality rows included, so no
-    # margin is built: no threshold and no error term
+    # every row here is decided in tail form, equality rows included, and
+    # report prints no digits, so no RadicalSum is built
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(
         "surd:(1+1*sqrt(5))/2\nsurd:(3+2*sqrt(7))/5\nsurd:(-1+1*sqrt(5))/2\n"
         "rat:355/113\ncf:[0;1,1,(2)]\n"
     )
     counts = {}
-    for name in ("bound_rhs", "_error_term"):
-        _counting(monkeypatch, verify, name, counts)
+    _counting(monkeypatch, RadicalSum, "_assign", counts)
     outs = []
     for flags in (["--bound", "refined_f", "--k", "1"], ["--bound", "hancl_nair"], ["--bound", "hurwitz"]):
         code, out = run_cli(["report", "--corpus", str(corpus), *flags, "--n", "40"])
@@ -293,6 +292,28 @@ def test_exit_3_on_bad_spec():
 def test_exit_3_on_dec_in_exact_command():
     code, _ = run_cli(["verify", "dec:1.41~2", "--bound", "hurwitz", "--n", "3"])
     assert code == 3
+
+
+def test_refusals_without_a_position_print_none(tmp_path, capsys):
+    # a refused input or an unreadable corpus has no position in any spec
+    missing = str(tmp_path / "missing.txt")
+    for argv, message in [
+        (["classify-equality", "rat:1/2", "--k", "1", "--n", "3"],
+         "classify-equality needs an irrational input"),
+        (["verify", "dec:1.41~2", "--bound", "hurwitz", "--n", "3"],
+         "dec: inputs carry finite precision; verify needs an exact value"),
+        (["classical", "rat:1/2", "--rule", "vahlen_pairs", "--n", "3"],
+         "classical window rules need an irrational input"),
+    ]:
+        code, out = run_cli(argv)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+    code, out = run_cli(["report", "--corpus", missing, "--bound", "hurwitz", "--n", "3"])
+    err = capsys.readouterr().err
+    assert code == 3 and out == "" and err.startswith("error: cannot read corpus: ")
+    assert "position" not in err
+    code, out = run_cli(["expand", "rat:1/0"])
+    assert code == 3 and capsys.readouterr().err == "error: zero denominator (at position 6)\n"
 
 
 def test_exit_2_on_usage_error():

@@ -24,7 +24,7 @@ from cfbounds.exact import (
     square_free_split,
 )
 from cfbounds.verify import verify_bound_scan
-from conftest import make_random_surd
+from conftest import direct_margin, make_random_surd
 
 mpmath.mp.dps = 200
 
@@ -405,15 +405,16 @@ def _mp_decimal(v: mpmath.mpf, significant: int) -> str:
 def test_deep_cancellation_margins_match_oracle():
     # refined_f margins at large depth: terms near 1 cancel down to about
     # 1/q_n^4, far below the precision at which each term is rounded
-    x = QuadSurd.make(3, 2, 5, 7)
-    records = verify_bound_scan(x, BoundSpec("refined_f", 2), 600)
+    x, spec = QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2)
+    records = verify_bound_scan(x, spec, 600)
     for n in (100, 300, 600):
-        margin = records[n].margin
-        with mpmath.workdps(4 * len(str(records[n].q)) + 60):
+        r = records[n]
+        margin = direct_margin(x, spec, r.p, r.q)
+        with mpmath.workdps(4 * len(str(r.q)) + 60):
             v = _as_mp(margin)
             assert abs(v) > mpmath.mpf(10) ** (-mpmath.mp.dps + 40)
-            assert margin.sign() == (1 if v > 0 else -1)
-            assert margin.decimal(50) == _mp_decimal(v, 50)
+            assert margin.sign() == r.margin_sign == (1 if v > 0 else -1)
+            assert margin.decimal(50) == r.margin_decimal(50) == _mp_decimal(v, 50)
 
 
 def _hidden_square_zero() -> RadicalSum:
@@ -441,6 +442,25 @@ def test_decimal_of_rational_tie_held_with_radicals(q, significant, expected):
     assert time.perf_counter() - start < 1
     assert got == expected == RadicalSum(q).decimal(significant)
 
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_decimal_settles_adjacent_ends_by_the_exact_sign(monkeypatch, below):
+    # ends forced one digit apart, with the correctly rounded string as the
+    # upper or the lower end, are settled by the exact sign of the value
+    # minus their midpoint, for either sign of the value
+    values = [RadicalSum(0, [(1, 2), (-1, 3)]), RadicalSum(Fraction(1, 3), [(1, 5), (-2, 7)]),
+              RadicalSum.sqrt(7, Fraction(-2, 9)), RadicalSum(Fraction(-10, 7))]
+    values += [-v for v in values]
+    expected = [RadicalSum(v.c0, v.terms).decimal(50) for v in values]
+    round_pair = exact._round_pair
+
+    def adjacent(x, y, d, significant):
+        e, a, _ = round_pair(x, y, d, significant)
+        return (e, a - 1, a) if below else (e, a, a + 1)
+
+    monkeypatch.setattr(exact, "_round_pair", adjacent)
+    assert [v.decimal(50) for v in values] == expected
 
 def _fraction_decimal(x: Fraction, significant: int) -> str:
     """x rounded half to even to ``significant`` digits, in Fraction arithmetic."""
@@ -534,11 +554,12 @@ def test_sign_and_decimal_share_one_enclosure(c0, terms):
 
 
 def test_verify_takes_one_enclosure_per_margin(monkeypatch):
-    # a row decided in tail form takes no RadicalSum interval or decimal: its
-    # digits come from enclosures of g - T, g and T at the bits the digits
-    # need, so no isqrt operand of the rendering grows with depth
+    # a row decided in tail form builds no RadicalSum and takes no RadicalSum
+    # interval or decimal: its digits come from enclosures of g - T, g and T
+    # at the bits the digits need, so no isqrt operand of the rendering
+    # grows with depth
     calls = []
-    interval, decimal = RadicalSum.interval, RadicalSum.decimal
+    interval, decimal, assign = RadicalSum.interval, RadicalSum.decimal, RadicalSum._assign
 
     def recording_interval(self, bits):
         calls.append("interval")
@@ -548,22 +569,26 @@ def test_verify_takes_one_enclosure_per_margin(monkeypatch):
         calls.append("decimal")
         return decimal(self, significant)
 
+    def recording_assign(self, *args):
+        calls.append("construction")
+        return assign(self, *args)
+
     argv = ["verify", "surd:(3+2*sqrt(7))/5", "--bound", "refined_f", "--k", "2", "--n", "200"]
     monkeypatch.setattr(RadicalSum, "interval", recording_interval)
     monkeypatch.setattr(RadicalSum, "decimal", recording_decimal)
+    monkeypatch.setattr(RadicalSum, "_assign", recording_assign)
     assert main(argv, out=io.StringIO()) == 0
-    monkeypatch.undo()
-    assert calls == []
     widest = {}
     for n in (200, 1600):
         records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), n)
-        assert all(r._tail is not None for r in records)  # no row needed its margin
         sizes = []
         monkeypatch.setattr(exact, "isqrt", lambda v: sizes.append(v.bit_length()) or isqrt(v))
         for r in records:
             r.margin_decimal(50)
-        monkeypatch.undo()
+        monkeypatch.setattr(exact, "isqrt", isqrt)
         widest[n] = max(sizes)
+    monkeypatch.undo()
+    assert calls == []
     assert widest[1600] <= widest[200] + 64
 
 

@@ -86,8 +86,12 @@ def test_parse_error_carries_position():
         parse_number("rat:1/0")
     except SpecParseError as exc:
         assert exc.pos > 0
+        assert str(exc) == "zero denominator (at position 6)"
     else:
         pytest.fail("expected SpecParseError")
+    # an error with no place in the text names none
+    refusal = SpecParseError("needs an irrational input")
+    assert str(refusal) == "needs an irrational input" and refusal.pos is None
 
 
 @given(st.fractions(min_value=-10**6, max_value=10**6))

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbounds import exact, verify
-from cfbounds.bounds import BoundSpec, Outcome, bound_rhs
+from cfbounds.bounds import BoundSpec, Outcome
 from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
+from cfbounds.cf import _error_term
 from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import (
     LEMMA_IDS,
@@ -23,9 +24,8 @@ from cfbounds.verify import (
     nathanson_applicable,
     verify_bound_scan,
     _LEMMA_MIN_K,
-    _error_term,
 )
-from conftest import make_random_surd
+from conftest import direct_margin, make_random_surd
 
 GOLDEN = QuadSurd.make(1, 1, 2, 5)
 
@@ -65,7 +65,7 @@ def test_rational_scan_is_allowed_for_plumbing():
 
 
 # ---------------------------------------------------------------------------
-# signs decided in tail form against the canonical direct margin
+# signs and digits from the tail form against the margin built directly
 
 _ALL_SPECS = [
     BoundSpec(kind) for kind in ("dirichlet", "hurwitz", "hancl_g", "vahlen", "borel", "hancl_nair")
@@ -73,13 +73,13 @@ _ALL_SPECS = [
 
 
 def _tail_equals_direct(x, spec, n):
-    """Every record's sign is that of |x - p/q| minus the threshold, built
-    directly and canonically, and its margin is that RadicalSum."""
+    """Every record's sign and digits are those of |x - p/q| minus the
+    threshold, built directly and canonically."""
     records = verify_bound_scan(x, spec, n)
     for r in records:
-        direct = _error_term(x, r.p, r.q) - bound_rhs(spec, r.q)
+        direct = direct_margin(x, spec, r.p, r.q)
         assert r.margin_sign == direct.sign(), (x, spec, r.n)
-        assert r.margin == direct, (x, spec, r.n)
+        assert r.margin_decimal(50) == direct.decimal(50), (x, spec, r.n)
     return records
 
 
@@ -127,18 +127,20 @@ def test_tail_signs_equal_direct_signs_where_g_minus_t_vanishes(kind):
 
 
 def test_fallback_rows_keep_the_margin_they_built(monkeypatch):
-    # an interval that never decides sends every row with two radicals to the fallback
+    # an interval that never decides sends every row with two radicals to the
+    # exact sign of its numerator W as a canonical RadicalSum
+    built = []
+    radical = verify._radical
     monkeypatch.setattr(verify, "_interval", lambda c, terms, bits: (-1, 1))
-    x = QuadSurd.make(3, 2, 5, 7)
-    records = _tail_equals_direct(x, BoundSpec("refined_f", 2), 40)
-    assert all(r._margin is not None for r in records)
-
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("margin rebuilt")
-
-    monkeypatch.setattr(verify, "bound_rhs", no_rebuild)
+    monkeypatch.setattr(verify, "_radical", lambda c, terms: built.append(c) or radical(c, terms))
+    x, spec = QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2)
+    records = verify_bound_scan(x, spec, 40)
+    assert 0 < len(built) == sum(len(r._tail[0][1]) > 1 for r in records)
+    # the ladder of _floor_log2 never ends on that interval, so render unpatched
+    monkeypatch.undo()
     for r in records:
-        assert r.margin_decimal(50) == r.margin.decimal(50)
+        direct = direct_margin(x, spec, r.p, r.q)
+        assert r.margin_sign == direct.sign() and r.margin_decimal(50) == direct.decimal(50)
 
 
 def test_margin_decimal_equals_the_canonical_margins_decimal():
@@ -150,12 +152,13 @@ def test_margin_decimal_equals_the_canonical_margins_decimal():
         depth = len(expand_rational(x)) - 1 if isinstance(x, Fraction) else 40
         for spec in _ALL_SPECS:
             for r in verify_bound_scan(x, spec, depth):
-                assert r.margin_decimal(50) == r.margin.decimal(50), (x, spec, r.n)
+                direct = direct_margin(x, spec, r.p, r.q)
+                assert r.margin_decimal(50) == direct.decimal(50), (x, spec, r.n)
     # deep rows, where q has about 450 bits
     x = QuadSurd.make(3, 2, 5, 7)
     for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair")):
         for r in verify_bound_scan(x, spec, 300):
-            assert r.margin_decimal(50) == r.margin.decimal(50), (spec, r.n)
+            assert r.margin_decimal(50) == direct_margin(x, spec, r.p, r.q).decimal(50), (spec, r.n)
 
 
 def test_tail_digits_are_rounded_from_an_enclosure_of_the_margin(monkeypatch):
@@ -167,36 +170,44 @@ def test_tail_digits_are_rounded_from_an_enclosure_of_the_margin(monkeypatch):
         return round_pair(x, y, d, significant)
 
     monkeypatch.setattr(exact, "_round_pair", recording)
+    x = QuadSurd.make(3, 2, 5, 7)
     for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair")):
-        for r in verify_bound_scan(QuadSurd.make(3, 2, 5, 7), spec, 40):
+        for r in verify_bound_scan(x, spec, 40):
             ends.clear()
             r.margin_decimal(50)
-            ((x, y, d),) = ends
-            size = r.margin * r.margin_sign
-            assert (size - Fraction(x, d)).sign() >= 0 and (Fraction(y, d) - size).sign() >= 0
+            ((lo, hi, d),) = ends
+            size = direct_margin(x, spec, r.p, r.q) * r.margin_sign
+            assert (size - Fraction(lo, d)).sign() >= 0 and (Fraction(hi, d) - size).sign() >= 0
 
 
 def test_margin_decimal_defers_adjacent_ends_to_the_canonical_decimal(monkeypatch):
-    # ends that round one digit apart leave the choice to the exact tie-break
-    # of the canonical margin's decimal, which still finds the right string
-    x = QuadSurd.make(3, 2, 5, 7)
-    records = verify_bound_scan(x, BoundSpec("refined_f", 2), 60)
-    assert all(r._tail is not None for r in records)
+    # ends that round one digit apart leave the choice to the exact sign of
+    # f |W| - mid q^2 G T, which finds the right string on either side of
+    # the midpoint without rendering any RadicalSum
+    records = [r for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair"))
+               for x, n in ((QuadSurd.make(3, 2, 5, 7), 60), (Fraction(355, 113), 2))
+               for r in verify_bound_scan(x, spec, n)]
     expected = [r.margin_decimal(50) for r in records]
-    round_pair, decimal, calls = exact._round_pair, RadicalSum.decimal, []
+    round_pair, decimal, sign = exact._round_pair, RadicalSum.decimal, RadicalSum.sign
+    calls = {"decimal": 0, "sign": 0}
 
-    def adjacent(*args):
-        e, a, _ = round_pair(*args)
-        return e, a, a + 1
+    def counting(name, fn):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return fn(self, *args)
+        return wrapper
 
-    def counting(self, significant=50):
-        calls.append(self)
-        return decimal(self, significant)
+    monkeypatch.setattr(RadicalSum, "decimal", counting("decimal", decimal))
+    monkeypatch.setattr(RadicalSum, "sign", counting("sign", sign))
+    for below in (False, True):
+        # below: the right digits a are the upper end of (a - 1, a); else the lower of (a, a + 1)
+        def adjacent(x, y, d, significant):
+            e, a, _ = round_pair(x, y, d, significant)
+            return (e, a - 1, a) if below and a > 10 ** (significant - 1) else (e, a, a + 1)
 
-    monkeypatch.setattr(exact, "_round_pair", adjacent)
-    monkeypatch.setattr(RadicalSum, "decimal", counting)
-    assert [r.margin_decimal(50) for r in records] == expected
-    assert len(calls) == len(records)
+        monkeypatch.setattr(exact, "_round_pair", adjacent)
+        assert [r.margin_decimal(50) for r in records] == expected, below
+    assert calls == {"decimal": 0, "sign": 2 * len(records)}
 
 
 def test_scan_takes_the_value_cf_pair(monkeypatch):
