@@ -587,8 +587,9 @@ class QuadSurd:
 
     @classmethod
     def from_rational(cls, x: Rational) -> "QuadSurd":
-        f = Fraction(x)
-        return cls.make(f.numerator, 0, f.denominator, 1)
+        # a Fraction is in lowest terms with a positive denominator: canonical
+        f = _rational(x)
+        return cls(f.numerator, 0, f.denominator, 1)
 
     # -- predicates & conversions
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .bounds import BoundSpec, Outcome, bound_g, f_value
+from .bounds import BoundSpec, Outcome, bound_g
 from .cf import (
     CFExpansion,
     alpha1,
@@ -29,7 +29,7 @@ from .cf import (
     expand_surd,
     _purely_periodic_value,
 )
-from .exact import MixedFieldError, QuadSurd, RadicalSum, radical_sign
+from .exact import MixedFieldError, QuadSurd, RadicalSum, radical_sign, square_free_split
 from .exact import _interval, _quotient_decimal, _sign_surd
 
 __all__ = [
@@ -181,9 +181,17 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     return records
 
 
-def _radical(c: int, terms: list[tuple[int, int]]) -> RadicalSum:
-    """c + sum n*sqrt(r) as a canonical RadicalSum (radicands split)."""
-    return RadicalSum(c, [(n, r) for r, n in terms])
+def _radical(c: int, terms: list[tuple[int, int]], den: int = 1) -> RadicalSum:
+    """(c + sum n*sqrt(r))/den, for integers with den > 0, as a canonical
+    RadicalSum: each radicand's square part is folded into its coefficient."""
+    pairs = []
+    for r, n in terms:
+        s, r = square_free_split(r)
+        if r == 1:
+            c += n * s
+        else:
+            pairs.append((r, n * s))
+    return RadicalSum._make(c, pairs, den)
 
 
 def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
@@ -333,10 +341,6 @@ class LemmaInstance:
             )
 
 
-def _sqrt_d(k: int) -> RadicalSum:
-    return RadicalSum.sqrt(k * k + 4)
-
-
 def _starred_q(k: int, j: int) -> tuple[int, int]:
     """(q*_j, q*_{j-1}) for the convergents of [0; (k)]."""
     if j < 1:
@@ -350,8 +354,29 @@ def _starred_q(k: int, j: int) -> tuple[int, int]:
 def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     """Exact sign certificate for one proof-case inequality.
 
-    Returns (holds, margin) where margin is the exact left-minus-right
-    difference (scaled only by manifestly positive quantities).
+    Returns (holds, margin), where margin is the exact left-minus-right
+    difference (scaled only by manifestly positive quantities) and holds
+    means its sign is +1.  Each margin is written once in closed form, as
+    integers (c, [(r, n), ...], den) that :func:`_radical` makes canonical,
+    with d = k^2 + 4:
+
+        L0_limit      ((d q^2 + 2) sqrt(d) - d q sqrt(d q^2 + 4))/(2d)
+        L1_case1      (d (k + 2) - (d + 1) sqrt(d))/d
+        L2_caseH      v - sqrt(d), v the limit of H below
+        L3_odd_block  v - sqrt(d), v the odd-block limit below
+        L4_AB_margin  (k^4 + 3k^2 + 1 - (k^3 + k) sqrt(d))/(k^3 + k)
+        R1..R5        (d w (aY - b q1 d) + (d w (bY - a q1) - N) sqrt(d))/(d N)
+
+    For R, the factor is a + b sqrt(d), w its weight, Y = k q1 + 2 q0 and
+    N = Y^2 - q1^2 d = -4 (q1^2 - k q1 q0 - q0^2), nonzero for q1 >= 1.
+    The checks that tie the closed forms to the paper's constructions still
+    run: L2's and L3's v are built from continued fractions and compared
+    with their closed forms, and L4's margin with its pre-squared display
+    num/(s + sqrt(d)) through :meth:`RadicalSum.inverse`; a mismatch raises
+    ArithmeticError (the CLI's exit 4).  The sign is :func:`radical_sign`'s.
+
+    L0's ``q`` and R's ``qstar = (q1, q0)`` must be denominators: q >= 1,
+    q1 >= 1 and q0 >= 0, else ValueError.
     """
     k = inst.k
     d = k * k + 4
@@ -359,10 +384,12 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     if inst.lemma_id == "L0_limit":
         # f(q) < q^2 sqrt(d) + 1/sqrt(d): the sqrt(1+x) < 1 + x/2 shortcut
         q = int(inst.params.get("q", 1))
-        margin = RadicalSum(0, [(q * q, d), (Fraction(1, d), d)]) - f_value(k, q)
+        if q < 1:
+            raise ValueError("q must be >= 1")
+        margin = _radical(0, [(d, d * q * q + 2), (d * q * q + 4, -d * q)], 2 * d)
     elif inst.lemma_id == "L1_case1":
         # k + 2 > sqrt(d) + 1/sqrt(d)
-        margin = RadicalSum(k + 2) - RadicalSum(0, [(1, d), (Fraction(1, d), d)])
+        margin = _radical(d * (k + 2), [(d, -(d + 1))], d)
     elif inst.lemma_id == "L2_caseH":
         # k + 1 + 2*[0;(k+1,1)] = (k^2 + k + sqrt(k^2+6k+5))/(k+1) > sqrt(d)
         t = 1 / _purely_periodic_value((k + 1, 1))
@@ -370,22 +397,22 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
         closed = QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5)
         if (v - closed).sign() != 0:
             raise ArithmeticError("closed form for the limit of H does not match")
-        margin = v.to_radical() - _sqrt_d(k)
+        margin = _radical(v.a, [(v.d, v.b), (d, -v.c)], v.c)
     elif inst.lemma_id == "L3_odd_block":
         # k + [0; k-1, k+1] + [0;(k)] = (k^3 + 2k + 2 + k^2 sqrt(d))/(2k^2) > sqrt(d)
-        v = alpha1(k) + Fraction(k) + Fraction(k + 1, k * k)
+        v = alpha1(k) + k + Fraction(k + 1, k * k)
         closed = QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d)
         if (v - closed).sign() != 0:
             raise ArithmeticError("closed form for the odd-block limit does not match")
-        margin = v.to_radical() - _sqrt_d(k)
+        margin = _radical(v.a, [(v.d, v.b), (d, -v.c)], v.c)
     elif inst.lemma_id == "L4_AB_margin":
-        # (1/k^2 + 1/(k + 1/k)^2) / (s + sqrt(d)) = s - sqrt(d) > 0
-        # for s = k + 1/k + 1/(k + 1/k)
-        s = Fraction(k) + Fraction(1, k) + 1 / (Fraction(k) + Fraction(1, k))
-        num = Fraction(1, k * k) + 1 / (Fraction(k) + Fraction(1, k)) ** 2
-        sq = _sqrt_d(k)
-        displayed = RadicalSum(num) * (RadicalSum(s) + sq).inverse()
-        margin = RadicalSum(s) - sq
+        # num/(s + sqrt(d)) = s - sqrt(d) > 0 for s = k + 1/k + 1/(k + 1/k)
+        # = (k^4 + 3k^2 + 1)/(k^3 + k) and num = 1/k^2 + 1/(k + 1/k)^2
+        # = ((k^2 + 1)^2 + k^4)/(k^3 + k)^2
+        e = k * k + 1
+        s, sd = k**4 + 3 * k * k + 1, k * e
+        displayed = _radical(e * e + k**4, [], sd * sd) * _radical(s, [(d, sd)], sd).inverse()
+        margin = _radical(s, [(d, -sd)], sd)
         if (displayed - margin).sign() != 0:
             raise ArithmeticError("pre-squared margin display does not match")
         for name in ("A", "B"):
@@ -399,17 +426,22 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
         # convergent denominators taken from [0;(k)]
         depth = int(inst.params.get("depth", 1))
         q1, q0 = inst.params.get("qstar") or _starred_q(k, depth)
-        # factor (a, b) stands for a + b sqrt(d); the ratio lies in Q(sqrt(d))
-        (a, b), weight = {
+        if q1 < 1 or q0 < 0:
+            raise ValueError("qstar must have q1 >= 1 and q0 >= 0")
+        # factor (a, b) stands for a + b sqrt(d); the ratio
+        # w (a + b sqrt(d))/(Y + q1 sqrt(d)) lies in Q(sqrt(d))
+        (a, b), w = {
             "R1": ((k + 2, -1), (k + 1) * q1 + q0),
             "R2": ((2 - k, 1), q1 + q0),
             "R3": ((2 - k, 1), (k - 1) * q1 + q0),
             "R4": ((1 - k, 1), (2 * k - 1) * q1 + 2 * q0),
             "R5": ((-k, 1), (2 * k - 1) * q1 + 2 * q0),
         }[inst.lemma_id]
-        x = QuadSurd.make(a * weight, b * weight, 1, d)
-        y = QuadSurd.make(k * q1 + 2 * q0, q1, 1, d)
-        margin = (x / y - QuadSurd.make(0, 1, d, d)).to_radical()
+        y = k * q1 + 2 * q0
+        n, dw = y * y - q1 * q1 * d, d * w
+        if n < 0:  # the denominator d N must be positive
+            n, dw = -n, -dw
+        margin = _radical(dw * (a * y - b * q1 * d), [(d, dw * (b * y - a * q1) - n)], d * n)
 
     return radical_sign(margin) > 0, margin
 

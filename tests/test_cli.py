@@ -1,6 +1,8 @@
 """CLI behavior: schemas, determinism, exit codes."""
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
 from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import classical_window_check
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -98,6 +102,18 @@ def test_lemmas_exit_1_on_failing_case():
     rows = [json.loads(line) for line in out.splitlines()]
     assert code == 1  # the k=1 final-case ratio genuinely dips below its limit
     assert any(r["lemma"] == "R1" and not r["holds"] for r in rows)
+
+
+def test_lemmas_match_golden_copy():
+    # every lemmas command of the benchmark's golden copy (k = 1..100 at
+    # depths 1..20): the exit code, the line count and the SHA-256 of stdout
+    golden = json.loads((ROOT / "cfbench" / "data" / "golden.json").read_text(encoding="utf-8"))
+    commands = {key: want for key, want in golden["commands"].items() if key.startswith("lemmas ")}
+    assert len(commands) == 20
+    for key, want in commands.items():
+        code, out = run_cli(key.split())
+        got = {"exit": code, "lines": out.count("\n"), "sha256": hashlib.sha256(out.encode()).hexdigest()}
+        assert got == want, key
 
 
 def test_classical_rule():

@@ -694,6 +694,18 @@ def test_surd_subtraction_equals_adding_the_negation(x, y, d, f):
     assert a - f == a + (-QuadSurd.from_rational(f))
 
 
+@pytest.mark.parametrize(
+    "x", [0, 1, -1, 7, -12, Fraction(0), Fraction(3, 4), Fraction(-5, 6), Fraction(10**30 + 1, 10**29)]
+)
+def test_from_rational_equals_make(x):
+    f = Fraction(x)
+    want = QuadSurd.make(f.numerator, 0, f.denominator, 1)
+    assert QuadSurd.from_rational(x) == want
+    # mixed arithmetic coerces its rational operand the same way
+    s = QuadSurd.make(1, 1, 2, 5)
+    assert s + x == s + want and x - s == want - s and s * x == s * want
+
+
 def test_pow_matches_repeated_multiplication():
     x = QuadSurd.make(1, 1, 2, 5)
     acc = QuadSurd.make(1, 0, 1, 5)

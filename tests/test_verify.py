@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbounds import exact, verify
-from cfbounds.bounds import BoundSpec, Outcome
+from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
-from cfbounds.cf import _error_term
+from cfbounds.cf import _error_term, _purely_periodic_value
 from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import (
     LEMMA_IDS,
@@ -409,6 +409,56 @@ def test_error_term_equals_radical_difference(a, b, c, d, n, shift):
     p, q = conv.p + shift, conv.q  # the convergent and rationals near it
     diff = x.to_radical() - Fraction(p, q)
     assert _error_term(x, p, q) == (-diff if diff.sign() < 0 else diff)
+
+
+def _L_margin_by_fractions(lemma: str, k: int, q: int = 1) -> RadicalSum:
+    # the constructions through Fraction, QuadSurd and RadicalSum arithmetic
+    # (and the paper's f for L0) that the integer closed forms replaced
+    d = k * k + 4
+    sqrt_d = RadicalSum.sqrt(d)
+    if lemma == "L0_limit":
+        return RadicalSum(0, [(q * q, d), (Fraction(1, d), d)]) - f_value(k, q)
+    if lemma == "L1_case1":
+        return RadicalSum(k + 2) - RadicalSum(0, [(1, d), (Fraction(1, d), d)])
+    if lemma == "L2_caseH":
+        v = 1 / _purely_periodic_value((k + 1, 1)) * 2 + (k + 1)
+    elif lemma == "L3_odd_block":
+        v = alpha1(k) + Fraction(k) + Fraction(k + 1, k * k)
+    else:
+        s = Fraction(k) + Fraction(1, k) + 1 / (Fraction(k) + Fraction(1, k))
+        return RadicalSum(s) - sqrt_d
+    return v.to_radical() - sqrt_d
+
+
+def test_L_margins_equal_fraction_route():
+    # RadicalSum equality compares the integer fields, so this is field for field
+    for k in range(1, 1001):
+        for lemma in ("L0_limit", "L1_case1", "L2_caseH", "L3_odd_block", "L4_AB_margin"):
+            _, margin = check_lemma(LemmaInstance(lemma, k))
+            assert margin == _L_margin_by_fractions(lemma, k), (lemma, k)
+
+
+@pytest.mark.parametrize("q", [1, 2, 100, 1000])
+def test_L0_margin_equals_f_value_route(q):
+    for k in range(1, 1001):
+        holds, margin = check_lemma(LemmaInstance("L0_limit", k, {"q": q}))
+        assert holds and margin == _L_margin_by_fractions("L0_limit", k, q), k
+
+
+@pytest.mark.parametrize(
+    "lemma, params",
+    [
+        ("L0_limit", {"q": -1}),
+        ("L0_limit", {"q": 0}),
+        ("R1", {"qstar": (0, 0)}),
+        ("R1", {"qstar": (0, 1)}),
+        ("R4", {"qstar": (-3, 1)}),
+        ("R1", {"qstar": (2, -1)}),
+    ],
+)
+def test_lemma_rejects_non_denominators(lemma, params):
+    with pytest.raises(ValueError):
+        check_lemma(LemmaInstance(lemma, 2, params))
 
 
 def test_L4_param_monotonicity_gate():
