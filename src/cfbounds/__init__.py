@@ -26,7 +26,6 @@ from .exact import (
     QuadSurd,
     RadicalSum,
     UnsupportedExpressionError,
-    radical_sign,
     square_free_split,
 )
 from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, render
@@ -85,7 +84,6 @@ __all__ = [
     "is_integer_translate",
     "nathanson_applicable",
     "parse_number",
-    "radical_sign",
     "render",
     "reversed_tail",
     "square_free_split",

@@ -17,8 +17,8 @@ precision doubles until the interval excludes zero or reaches the value's
 separation bound (:meth:`RadicalSum._zero_bits`; Burnikel, Funke, Mehlhorn,
 Schirra and Schmitt, Algorithmica 55, 2009), where it proves the value zero.
 After a first try at 64 bits the precision jumps to the bit length of the
-largest term.  The deciding interval is kept on the object, so
-:meth:`RadicalSum.decimal` renders from it with at most one more interval.
+largest term.  :meth:`RadicalSum.decimal` climbs the same ladder from the
+first rung that can hold its digits, plus at most one more interval.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ __all__ = [
     "RadicalSum",
     "MixedFieldError",
     "UnsupportedExpressionError",
-    "radical_sign",
     "square_free_split",
 ]
 
@@ -44,7 +43,7 @@ class MixedFieldError(ValueError):
 
 
 class UnsupportedExpressionError(ValueError):
-    """Radical expression outside the supported size for sign decisions."""
+    """A denominator that :meth:`RadicalSum.inverse` cannot rationalize."""
 
 
 def _sieve(limit: int) -> list[int]:
@@ -149,6 +148,27 @@ def _rational(x: Rational) -> Rational:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def _fold(c: int, terms: Iterable[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Integers (c', [(k, n'), ...]) of c + sum n*sqrt(r), for integers r >= 1:
+    each radicand's square part s^2 moves into its coefficient (n' = n*s, k > 1),
+    a square radicand into c', and a zero term is dropped unsplit."""
+    pairs = []
+    for r, n in terms:
+        if n:
+            s, k = square_free_split(r)
+            if k == 1:
+                c += n * s
+            else:
+                pairs.append((k, n * s))
+    return c, pairs
+
+
+def _radical(c: int, terms: Iterable[tuple[int, int]], den: int = 1) -> "RadicalSum":
+    """(c + sum n*sqrt(r))/den as a canonical RadicalSum, for integers with
+    den > 0 and r >= 1 (see :func:`_fold`)."""
+    return RadicalSum._make(*_fold(c, terms), den)
+
+
 # ---------------------------------------------------------------------------
 # RadicalSum
 
@@ -167,28 +187,14 @@ class RadicalSum:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_c", "_t", "den", "_enc")  # _enc: see _enclose
+    __slots__ = ("_c", "_t", "den")
 
     def __init__(self, c0: Rational = 0, terms: Iterable[tuple[Rational, int]] = ()):
         c0 = _rational(c0)
-        den = c0.denominator
-        split = []
-        for coef, rad in terms:
-            coef = _rational(coef)
-            if coef == 0:
-                continue
-            s, k = square_free_split(rad)
-            split.append((k, coef.numerator * s, coef.denominator))
-            den = lcm(den, coef.denominator)
-        const = c0.numerator * (den // c0.denominator)
-        pairs = []
-        for k, n, d in split:
-            n *= den // d
-            if k == 1:
-                const += n
-            else:
-                pairs.append((k, n))
-        self._assign(const, pairs, den)
+        terms = [(r, _rational(coef)) for coef, r in terms]
+        den = lcm(c0.denominator, *[f.denominator for _, f in terms])
+        ints = [(r, f.numerator * (den // f.denominator)) for r, f in terms]
+        self._assign(*_fold(c0.numerator * (den // c0.denominator), ints), den)
 
     @classmethod
     def _make(cls, const: int, pairs: Iterable[tuple[int, int]], den: int) -> "RadicalSum":
@@ -378,30 +384,20 @@ class RadicalSum:
         The ladder starts at ``bits`` (a rung 64*2^i) and doubles, but when
         the first rung fails it jumps to the first rung at or above
         :meth:`_term_bits`: below that every rung costs an ``isqrt`` nearly as
-        long as the one that decides.  The answer is kept in a slot, so
-        ``sign`` and ``decimal`` of one object climb the ladder once; later
-        calls return it whatever their ``bits``.
+        long as the one that decides.
         """
-        try:
-            return self._enc
-        except AttributeError:
-            pass
         cap = top = 0
         while True:
             lo, hi = self.interval(bits)
             if lo > 0 or hi < 0:
-                enc = bits, lo, hi
-                break
+                return bits, lo, hi
             if not cap:
                 cap, top = self._zero_bits(), self._term_bits()
             if bits >= cap:
-                enc = None
-                break
+                return None
             bits *= 2
             while bits < top:
                 bits *= 2
-        object.__setattr__(self, "_enc", enc)
-        return enc
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
@@ -423,14 +419,16 @@ class RadicalSum:
         """Correctly rounded decimal string with ``significant`` digits.
 
         Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
-        one digit), rounded half to even.  The digits come from the
-        enclosure :meth:`sign` uses (:meth:`_enclose`, started at the first
-        rung that can hold the digits if no sign was taken), plus one
-        interval at the bits its shorter endpoint lacks, rounded once: that
-        interval is m units wide (m radical terms) around a value of at
-        least 2^(need - 1) units, so its width is below 2^-62 of a step in
-        the last digit.  Endpoints that round apart go to :func:`_settle`.
+        one digit), rounded half to even; ``significant`` < 1 raises
+        ValueError.  The digits come from :meth:`_enclose`, started at the
+        first rung that can hold them, plus one interval at the bits its
+        shorter endpoint lacks, rounded once: that interval is m units wide
+        (m radical terms) around a value of at least 2^(need - 1) units, so
+        its width is below 2^-62 of a step in the last digit.  Endpoints
+        that round apart go to :func:`_settle`.
         """
+        if significant < 1:
+            raise ValueError("significant must be >= 1")
         if not self._t:
             if not self._c:
                 return "0"
@@ -538,15 +536,6 @@ def _format_decimal(neg: bool, digits: int, e: int, significant: int) -> str:
     ds = str(digits)
     mantissa = f"{ds[0]}.{ds[1:]}" if significant > 1 else ds
     return f"{'-' if neg else ''}{mantissa}e{e:+03d}"
-
-
-def radical_sign(s: RadicalSum) -> int:
-    """Sign of a RadicalSum with at most 4 radical terms (public contract)."""
-    if len(s._t) > 4:
-        raise UnsupportedExpressionError(
-            f"sign supported for at most 4 radical terms, got {len(s._t)}"
-        )
-    return s.sign()
 
 
 # ---------------------------------------------------------------------------

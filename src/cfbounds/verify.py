@@ -29,8 +29,8 @@ from .cf import (
     expand_surd,
     _purely_periodic_value,
 )
-from .exact import MixedFieldError, QuadSurd, RadicalSum, radical_sign, square_free_split
-from .exact import _interval, _quotient_decimal, _sign_surd
+from .exact import MixedFieldError, QuadSurd, RadicalSum
+from .exact import _interval, _quotient_decimal, _radical, _sign_surd
 
 __all__ = [
     "NumberInput",
@@ -91,7 +91,10 @@ class VerificationRecord:
         ``isqrt`` operand grows with q, and both ends of the quotient are
         rounded.  Ends that round to different strings are settled by the
         exact sign of f |W| - mid q^2 G T, a RadicalSum product with no
-        division, for the midpoint ``mid`` between them."""
+        division, for the midpoint ``mid`` between them.  ``significant`` < 1
+        raises ValueError."""
+        if significant < 1:
+            raise ValueError("significant must be >= 1")
         sign = self.margin_sign
         if not sign:
             return "0"
@@ -179,19 +182,6 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
                 sign, enc = (1 if lo > 0 else -1), (64, lo, hi)
         records.append(VerificationRecord(n, p, q, sign, (num, g, t, enc)))
     return records
-
-
-def _radical(c: int, terms: list[tuple[int, int]], den: int = 1) -> RadicalSum:
-    """(c + sum n*sqrt(r))/den, for integers with den > 0, as a canonical
-    RadicalSum: each radicand's square part is folded into its coefficient."""
-    pairs = []
-    for r, n in terms:
-        s, r = square_free_split(r)
-        if r == 1:
-            c += n * s
-        else:
-            pairs.append((r, n * s))
-    return RadicalSum._make(c, pairs, den)
 
 
 def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
@@ -341,6 +331,10 @@ class LemmaInstance:
             )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _starred_q(k: int, j: int) -> tuple[int, int]:
     """(q*_j, q*_{j-1}) for the convergents of [0; (k)]."""
     if j < 1:
@@ -373,19 +367,21 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     run: L2's and L3's v are built from continued fractions and compared
     with their closed forms, and L4's margin with its pre-squared display
     num/(s + sqrt(d)) through :meth:`RadicalSum.inverse`; a mismatch raises
-    ArithmeticError (the CLI's exit 4).  The sign is :func:`radical_sign`'s.
+    ArithmeticError (the CLI's exit 4).  The sign is the margin's exact
+    :meth:`RadicalSum.sign`.
 
-    L0's ``q`` and R's ``qstar = (q1, q0)`` must be denominators: q >= 1,
-    q1 >= 1 and q0 >= 0, else ValueError.
+    L0's ``q`` and R's ``qstar = (q1, q0)`` must be denominators, integers
+    with q >= 1, q1 >= 1 and q0 >= 0, and R's ``depth`` an integer, else
+    ValueError; a bool is not taken for an integer.
     """
     k = inst.k
     d = k * k + 4
 
     if inst.lemma_id == "L0_limit":
         # f(q) < q^2 sqrt(d) + 1/sqrt(d): the sqrt(1+x) < 1 + x/2 shortcut
-        q = int(inst.params.get("q", 1))
-        if q < 1:
-            raise ValueError("q must be >= 1")
+        q = inst.params.get("q", 1)
+        if not _is_int(q) or q < 1:
+            raise ValueError("q must be an integer >= 1")
         margin = _radical(0, [(d, d * q * q + 2), (d * q * q + 4, -d * q)], 2 * d)
     elif inst.lemma_id == "L1_case1":
         # k + 2 > sqrt(d) + 1/sqrt(d)
@@ -424,10 +420,12 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     else:
         # final reduction cases: displayed ratio > 1/sqrt(d), with starred
         # convergent denominators taken from [0;(k)]
-        depth = int(inst.params.get("depth", 1))
+        depth = inst.params.get("depth", 1)
+        if not _is_int(depth):
+            raise ValueError("depth must be an integer")
         q1, q0 = inst.params.get("qstar") or _starred_q(k, depth)
-        if q1 < 1 or q0 < 0:
-            raise ValueError("qstar must have q1 >= 1 and q0 >= 0")
+        if not (_is_int(q1) and _is_int(q0)) or q1 < 1 or q0 < 0:
+            raise ValueError("qstar must be integers with q1 >= 1 and q0 >= 0")
         # factor (a, b) stands for a + b sqrt(d); the ratio
         # w (a + b sqrt(d))/(Y + q1 sqrt(d)) lies in Q(sqrt(d))
         (a, b), w = {
@@ -443,7 +441,7 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
             n, dw = -n, -dw
         margin = _radical(dw * (a * y - b * q1 * d), [(d, dw * (b * y - a * q1) - n)], d * n)
 
-    return radical_sign(margin) > 0, margin
+    return margin.sign() > 0, margin
 
 
 def f_monotone_check(k: int, samples: int) -> bool:

@@ -32,7 +32,7 @@ import pytest
 
 from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import alpha1, alpha2, closed_form_pq, convergents, error_identity, expand_surd
-from cfbounds.exact import QuadSurd, RadicalSum, radical_sign
+from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import (
     LemmaInstance,
     check_lemma,
@@ -120,7 +120,7 @@ def test_criterion_3_dominance():
     for k in range(1, 11):
         for q in qs:
             diff = g_value(BoundSpec("refined_f", k), q) - g_value(BoundSpec("nathanson", k), q)
-            if radical_sign(diff) <= 0:
+            if diff.sign() <= 0:
                 ok = False
     # record-level: refined Holds at (x, n) implies the unrefined bound holds strictly
     pool = [(alpha1(k), k) for k in range(1, 11)] + [(x, k) for x, k, _ in _CORPUS_SCANS[:40]]
@@ -200,7 +200,7 @@ def test_criterion_7_proof_lemmas():
                     # which is (-1)^depth by Cassini's identity
                     cassini = q1 * q1 - q1 * q0 - q0 * q0
                     want = (cassini > 0) - (cassini < 0)
-                    if want == 0 or radical_sign(margin) != want or holds != (want > 0):
+                    if want == 0 or margin.sign() != want or holds != (want > 0):
                         bad.append((lemma, k, depth))
                 elif not holds:
                     bad.append((lemma, k, depth))
@@ -243,7 +243,7 @@ def test_criterion_9_kernel_soundness():
             approx += mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.sqrt(rad)
         if abs(approx) < mpmath.mpf(10) ** -150:
             continue  # not well-separated; sign decided structurally elsewhere
-        if radical_sign(r) != (1 if approx > 0 else -1):
+        if r.sign() != (1 if approx > 0 else -1):
             mism += 1
     zeros_bad = 0
     for _ in range(100):
@@ -251,7 +251,7 @@ def test_criterion_9_kernel_soundness():
         f = rng.randint(2, 1000)
         a = Fraction(rng.randint(1, 30), rng.randint(1, 7))
         z = RadicalSum(0, [(a, s * f * f), (-a * f, s)])
-        if radical_sign(z) != 0:
+        if z.sign() != 0:
             zeros_bad += 1
     ok = mism == 0 and zeros_bad == 0
     _report(9, ok, 60.0, time.perf_counter() - t0,

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_g, f_value
-from cfbounds.exact import RadicalSum, radical_sign
+from cfbounds.exact import RadicalSum
 from cfbounds.verify import LemmaInstance, check_lemma
 from conftest import g_value
 
@@ -56,7 +56,7 @@ def test_bound_rhs_matches_oracle(kind, q):
 def test_refined_is_strictly_below_nathanson(k, q):
     # the refined threshold is below Nathanson's exactly when its g is above
     diff = g_value(BoundSpec("refined_f", k), q) - g_value(BoundSpec("nathanson", k), q)
-    assert radical_sign(diff) > 0
+    assert diff.sign() > 0
 
 
 def _refined_reciprocal(k: int, q: int) -> RadicalSum:

@@ -104,16 +104,27 @@ def test_lemmas_exit_1_on_failing_case():
     assert any(r["lemma"] == "R1" and not r["holds"] for r in rows)
 
 
-def test_lemmas_match_golden_copy():
-    # every lemmas command of the benchmark's golden copy (k = 1..100 at
-    # depths 1..20): the exit code, the line count and the SHA-256 of stdout
+def _replay_golden(prefix, count):
+    # the benchmark's golden copy of each command that starts with prefix:
+    # the exit code, the line count and the SHA-256 of stdout
     golden = json.loads((ROOT / "cfbench" / "data" / "golden.json").read_text(encoding="utf-8"))
-    commands = {key: want for key, want in golden["commands"].items() if key.startswith("lemmas ")}
-    assert len(commands) == 20
+    commands = {key: want for key, want in golden["commands"].items() if key.startswith(prefix + " ")}
+    assert len(commands) == count
     for key, want in commands.items():
         code, out = run_cli(key.split())
         got = {"exit": code, "lines": out.count("\n"), "sha256": hashlib.sha256(out.encode()).hexdigest()}
         assert got == want, key
+
+
+def test_lemmas_match_golden_copy():
+    _replay_golden("lemmas", 20)  # k = 1..100 at depths 1..20
+
+
+@pytest.mark.parametrize("prefix, count", [("verify", 6), ("classify-equality", 18)])
+def test_scans_match_golden_copy(prefix, count):
+    # verify at depths 250 and 498..502, and classify-equality over 18
+    # integer translates of the k = 2 families, at depth 400
+    _replay_golden(prefix, count)
 
 
 def test_classical_rule():

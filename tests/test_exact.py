@@ -20,7 +20,6 @@ from cfbounds.exact import (
     MixedFieldError,
     QuadSurd,
     RadicalSum,
-    radical_sign,
     square_free_split,
 )
 from cfbounds.verify import verify_bound_scan
@@ -133,7 +132,6 @@ def test_perfect_square_radicand_folds_into_rational():
     ],
 )
 def test_radical_sign_known(r, expected_sign):
-    assert radical_sign(r) == expected_sign
     assert r.sign() == expected_sign
 
 
@@ -385,6 +383,57 @@ def test_equal_values_share_one_dict_key():
     assert RadicalSum(0, [(1, 8), (-2, 2)]) in {RadicalSum(0): None}
 
 
+# distinct primes, so the canonical form keeps every term as it is given
+_PRIME_RADICANDS = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 10007, 10009]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(_PRIME_RADICANDS), min_size=5, max_size=6, unique=True),
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6).filter(bool), min_size=6, max_size=6),
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from([1, -1]),
+)
+def test_five_and_six_radical_values_match_oracle(rads, coefs, cancel, sign):
+    # the constant takes off the sum's first cancel digits after the point,
+    # so the value is below 10^-cancel and a large cancel needs rungs above
+    # 64 bits
+    x = RadicalSum(0, list(zip(coefs, rads)))
+    with mpmath.workdps(120):
+        c = Fraction(int(mpmath.floor(_as_mp(x) * 10**cancel)), 10**cancel)
+    x = (x - c) * sign
+    assert len(x.terms) == len(rads)
+    _check_against_oracle(x, False)
+
+
+# primes above 10^4: square_free_split leaves each p^2*r unsplit
+_HIDDEN_PAIRS = [(10007, 10009), (10037, 10039), (10061, 10067)]
+
+
+def test_six_radical_zero_hidden_from_the_canonical_form():
+    # sqrt(p^2 r) - p sqrt(r) for each pair: six distinct radicands, value 0
+    terms = [t for p, r in _HIDDEN_PAIRS for t in ((1, p * p * r), (-p, r))]
+    zero = RadicalSum(0, terms)
+    assert len(zero.terms) == 6
+    start = time.perf_counter()
+    assert zero.sign() == 0 and zero.decimal(50) == "0"
+    assert time.perf_counter() - start < 1
+    _check_against_oracle(zero, True)
+    # without the last term the value is 10061*sqrt(10067)
+    rest = RadicalSum(0, terms[:-1])
+    assert len(rest.terms) == 5
+    _check_against_oracle(rest, False)
+    assert rest.decimal(50) == RadicalSum.sqrt(10067, 10061).decimal(50)
+
+
+@pytest.mark.parametrize("significant", [0, -1])
+def test_decimal_rejects_fewer_than_one_digit(significant):
+    values = [RadicalSum(1, [(1, 2)]), RadicalSum(0, [(1, 2), (1, 3)]), RadicalSum(Fraction(1, 3))]
+    for x in values + [RadicalSum(0)]:
+        with pytest.raises(ValueError):
+            x.decimal(significant)
+
+
 def _mp_decimal(v: mpmath.mpf, significant: int) -> str:
     """Correctly rounded d.dd...e<exp> of an irrational v evaluated at high precision."""
     sign = "-" if v < 0 else ""
@@ -535,7 +584,7 @@ def test_decimal_matches_float_formatting(m, j, significant):
         max_size=4,
     ),
 )
-def test_sign_and_decimal_share_one_enclosure(c0, terms):
+def test_sign_and_decimal_agree_in_either_order_and_on_copies(c0, terms):
     with mpmath.workdps(300):
         v = _as_mp(RadicalSum(c0, terms))
         if abs(v) < mpmath.mpf(10) ** -250:
@@ -546,7 +595,7 @@ def test_sign_and_decimal_share_one_enclosure(c0, terms):
     assert first_sign.sign() == sign and first_sign.decimal(50) == dec
     first_decimal = RadicalSum(c0, terms)
     assert first_decimal.decimal(50) == dec and first_decimal.sign() == sign
-    # copies hold the value, not the enclosure, and stay equal to the original
+    # copies hold the value and stay equal to the original
     for fresh in (copy.deepcopy(first_sign), pickle.loads(pickle.dumps(first_decimal))):
         assert fresh == first_sign and hash(fresh) == hash(first_sign)
         assert fresh.decimal(50) == dec and fresh.sign() == sign

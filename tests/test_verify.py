@@ -143,6 +143,15 @@ def test_fallback_rows_keep_the_margin_they_built(monkeypatch):
         assert r.margin_sign == direct.sign() and r.margin_decimal(50) == direct.decimal(50)
 
 
+@pytest.mark.parametrize("significant", [0, -1])
+def test_margin_decimal_rejects_fewer_than_one_digit(significant):
+    records = verify_bound_scan(alpha1(2), BoundSpec("refined_f", 2), 6)
+    assert {r.margin_sign for r in records} == {0, 1}
+    for r in records:
+        with pytest.raises(ValueError):
+            r.margin_decimal(significant)
+
+
 def test_margin_decimal_equals_the_canonical_margins_decimal():
     rng = random.Random(7)
     xs = [make_random_surd(rng, dmax=300) for _ in range(6)]
@@ -454,6 +463,11 @@ def test_L0_margin_equals_f_value_route(q):
         ("R1", {"qstar": (0, 1)}),
         ("R4", {"qstar": (-3, 1)}),
         ("R1", {"qstar": (2, -1)}),
+        # not integers, and a bool is not taken for one
+        ("L0_limit", {"q": 2.5}),
+        ("R1", {"depth": 2.9}),
+        ("R1", {"depth": True}),
+        ("R1", {"qstar": (2.0, 1)}),
     ],
 )
 def test_lemma_rejects_non_denominators(lemma, params):
