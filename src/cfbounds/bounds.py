@@ -14,13 +14,17 @@ Every bound compares an approximation error |x - p/q| with a threshold
 
 For refined_f, q^2 g(q) is the paper's
 f(q) = (q^2 sqrt(k^2+4)/2)(1 + sqrt(1 + 4/((k^2+4) q^2))) (:func:`f_value`),
-so its threshold is 1/f(q).
+so its threshold is 1/f(q).  Every g tends to a constant g_inf (1, 2, sqrt(5)
+or sqrt(k^2+4)) with g_inf <= g(q) <= g_inf + 1/q^2, so
+:func:`g_enclosure` encloses g(q) in integers whose size does not grow with q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import isqrt
+from typing import Callable
 
 from .exact import RadicalSum, square_free_split
 
@@ -93,3 +97,62 @@ def bound_g(spec: BoundSpec, q: int) -> tuple[int, list[tuple[int, int]], int]:
     if kind == "nathanson":
         return 0, [(r, s)], 1
     return 0, [(r, s * q), (d * q * q + 4, 1)], 2 * q
+
+
+def g_enclosure(spec: BoundSpec, bits: int) -> Callable[[int], tuple[int, int]]:
+    """A function of q >= 1 that returns integers lo <= g(q)*2^bits <= hi,
+    with hi - lo <= 3, in integers of about bits + bitlen(g) bits whatever q.
+
+    Each call works on q only through q^2 < 2^(bits + 2), because of the
+    lemma g_inf <= g(q) <= g_inf + 1/q^2 for every kind.  Proof: dirichlet,
+    vahlen, hurwitz, borel and nathanson have g = g_inf.  For refined_f and
+    hancl_g, with d = k^2 + 4 (k = 1 for hancl_g) and g_inf = sqrt(d),
+
+        g(q) - g_inf = (sqrt(d + 4/q^2) - sqrt(d))/2
+                     = (2/q^2)/(sqrt(d + 4/q^2) + sqrt(d)),
+
+    which lies in [0, 1/(q^2 sqrt(d))] and so in [0, 1/q^2], as d >= 5.
+    For hancl_nair, g(q) - sqrt(5) = h/(2 q^2) with
+    h = 4 - 5 sqrt(5) + sqrt(61) in (0.62, 0.64), so it lies in [0, 1/q^2].
+    Once q >= 2^(bits//2 + 1), 1/q^2 < 2^-bits, so the enclosure
+    [s, s + 2] of g_inf*2^bits, with s = isqrt(g_inf^2 * 4^bits), holds g(q);
+    below that, q^2 < 2^(bits + 2) enters through one floor division:
+
+        refined_f   g*2^bits = (sqrt(d 4^bits) + sqrt(d 4^bits + 4^(bits+1)/q^2))/2,
+                    with t = 4^(bits+1) // q^2 <= 4^(bits+1)/q^2 < t + 1
+                    and isqrt(m) <= sqrt(m) < isqrt(m) + 1 at each root;
+        hancl_nair  g*2^bits = sqrt(5 4^bits) + h 2^bits/(2 q^2), with h 2^bits
+                    between 4*2^bits - isqrt(125 4^bits) - 1 + isqrt(61 4^bits)
+                    and 2 more, each quotient by 2 q^2 floored or ceiled.
+
+    Each root of g_inf is taken once, when the function is made.
+    """
+    kind = spec.kind
+    if kind in ("dirichlet", "vahlen"):
+        one = (1 if kind == "dirichlet" else 2) << bits
+        return lambda q: (one, one)
+    d = spec.k * spec.k + 4 if kind in _NEEDS_K else 5
+    dd = d << 2 * bits
+    s = isqrt(dd)  # s <= sqrt(d)*2^bits < s + 1
+    if kind in ("hurwitz", "borel", "nathanson"):
+        return lambda q: (s, s + 1)
+    cut = bits // 2 + 1
+    if kind == "hancl_nair":
+        hl = (4 << bits) - isqrt(125 << 2 * bits) - 1 + isqrt(61 << 2 * bits)
+
+        def enc(q: int) -> tuple[int, int]:
+            if q.bit_length() > cut:
+                return s, s + 2
+            q2 = 2 * q * q
+            return s + hl // q2, s + 1 - (-(hl + 2) // q2)
+
+        return enc
+    four = 4 << 2 * bits
+
+    def enc(q: int) -> tuple[int, int]:
+        if q.bit_length() > cut:
+            return s, s + 2
+        t = dd + four // (q * q)
+        return (s + isqrt(t)) >> 1, (s + isqrt(t + 1) + 3) >> 1
+
+    return enc

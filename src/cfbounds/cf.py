@@ -118,14 +118,21 @@ class Convergent:
 
 def expand_rational(x: Union[Fraction, int]) -> CFExpansion:
     """Finite expansion of a rational; last digit != 1 when length >= 2."""
-    f = Fraction(x)
+    return _finite([num // den for num, den in _rational_states(Fraction(x))])
+
+
+def _rational_states(f: Fraction) -> list[tuple[int, int]]:
+    """The Euclid remainders of f as states (r_{i-1}, r_i), one for each
+    complete quotient x_i = r_{i-1}/r_i, i = 0..m, of the expansion f =
+    [a_0; a_1, ..., a_m]: r_{-1}, r_0 = numerator, denominator, and r_{m+1} = 0.
+    Every remainder after r_{-1} is positive, and the last digit is >= 2 when
+    m >= 1, so the expansion is canonical."""
     num, den = f.numerator, f.denominator
-    digits = []
+    states = []
     while den:
-        a = num // den
-        digits.append(a)
-        num, den = den, num - a * den
-    return _finite(digits)
+        states.append((num, den))
+        num, den = den, num - num // den * den
+    return states
 
 
 def _finite(digits: list[int]) -> CFExpansion:
@@ -155,22 +162,35 @@ def expand_surd(x: QuadSurd) -> CFExpansion:
     period after the shortest head; x's own state is not recorded, because
     a0 never starts the period (a purely periodic x repeats from x_1).
     """
+    _, _, digits, start = _surd_states(x)
+    return CFExpansion(digits[0], tuple(digits[1:start]), tuple(digits[start:]))
+
+
+def _surd_states(x: QuadSurd) -> tuple[int, list[tuple[int, int]], list[int], int]:
+    """(D, states, digits, start) of the (P, Q) recurrence of an irrational x.
+
+    The complete quotient x_i = [a_i; a_{i+1}, ...] is (P_i + sqrt(D))/Q_i
+    with (P_i, Q_i) = states[i] and a_i = digits[i] for i < len(states);
+    later ones repeat the period, so x_i has the state of index
+    start + (i - start) % (len(states) - start).  Q_i divides D - P_i^2, and
+    Q_i > 0 once the state is reduced; a head state may have Q_i < 0.
+    """
     if x.is_rational:
         raise ValueError("rational input: use expand_rational")
     p, q, d = _to_pqd(x)
     s = isqrt(d)
     seen: dict[tuple[int, int], int] = {}
+    states: list[tuple[int, int]] = []
     digits: list[int] = []
     while True:
+        states.append((p, q))
         a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
         digits.append(a)
         p = a * q - p
         q = (d - p * p) // q
         if (p, q) in seen:
-            break
-        seen[p, q] = len(digits)
-    start = seen[p, q]
-    return CFExpansion(digits[0], tuple(digits[1:start]), tuple(digits[start:]))
+            return d, states, digits, seen[p, q]
+        seen[p, q] = len(states)
 
 
 def convergents(cf: CFExpansion, n: int) -> list[Convergent]:

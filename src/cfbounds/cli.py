@@ -229,18 +229,17 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(rows: list[dict], command: str, fmt: str, out) -> None:
+def _render(rows: list[dict], command: str, fmt: str) -> str:
+    """Every output line of a command, as one string."""
     fields = _FIELDS[command]
     if fmt == "jsonl":
-        for row in rows:
-            out.write(json.dumps({f: row.get(f) for f in fields}) + "\n")
-        return
+        return "".join(json.dumps({f: row.get(f) for f in fields}) + "\n" for row in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
         writer.writerow([_csv_cell(row.get(f)) for f in fields])
-    out.write(buf.getvalue())
+    return buf.getvalue()
 
 
 def _csv_cell(v):
@@ -309,6 +308,24 @@ _HANDLERS = {
 
 
 def main(argv=None, out=None) -> int:
+    """Run one command and return its exit code.
+
+    CPython 3.10.7 and later refuse to convert an int of more than 4,300
+    digits to or from a decimal string; a spec's integers and the p, q of a
+    deep scan have no such bound, so the limit is lifted while ``main`` runs
+    and the caller's limit restored after.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv, out)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv, out) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out or sys.stdout
@@ -325,15 +342,17 @@ def main(argv=None, out=None) -> int:
         width = _WINDOW_RULES[args.rule][1]
         if args.n < width - 1:
             parser.error(f"--rule {args.rule} needs --n >= {width - 1} to check one window")
+    # every line is rendered before any is written, so a failure leaves stdout empty
     try:
         rows, ok = _HANDLERS[args.command](args)
+        text = _render(rows, args.command, args.format)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (IdentityMismatch, ArithmeticError) as exc:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
         return 4
-    _emit(rows, args.command, args.format, out)
+    out.write(text)
     return 0 if ok else 1
 
 

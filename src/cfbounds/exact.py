@@ -14,7 +14,7 @@ comparison.  With more terms it is decided by integer directed rounding:
 with the value scaled by its denominator and by 2^bits, every radical term is
 rounded outward to neighbouring integers with ``isqrt``, and the working
 precision doubles until the interval excludes zero or reaches the value's
-separation bound (:meth:`RadicalSum._zero_bits`; Burnikel, Funke, Mehlhorn,
+separation bound (:func:`_zero_bits`; Burnikel, Funke, Mehlhorn,
 Schirra and Schmitt, Algorithmica 55, 2009), where it proves the value zero.
 After a first try at 64 bits the precision jumps to the bit length of the
 largest term.  :meth:`RadicalSum.decimal` climbs the same ladder from the
@@ -70,7 +70,7 @@ def square_free_split(n: int) -> tuple[int, int]:
     5*4010488^2 + 4, a multiple of 10007^2).  Such a hidden square affects
     only equality and hashing, which compare representations; the sign of a
     RadicalSum stays exact, because its separation bound also holds for
-    radicands that are not squarefree (see :meth:`RadicalSum._zero_bits`).
+    radicands that are not squarefree (see :func:`_zero_bits`).
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
@@ -142,6 +142,31 @@ def _interval(c: int, terms: Iterable[tuple[int, int]], bits: int) -> tuple[int,
             lo -= s + 1
             hi -= s
     return lo, hi
+
+
+def _zero_bits(c: int, terms: list[tuple[int, int]] | tuple) -> int:
+    """Bits at which an :func:`_interval` of c + sum n_i*sqrt(r_i), integers
+    with r_i > 1, that holds zero proves the value zero.
+
+    Let v = c + sum n_i*sqrt(r_i) with m radical terms, an algebraic integer,
+    and first let the r_i be distinct and squarefree.  The product of its 2^m
+    sign-flipped conjugates c + sum +-n_i*sqrt(r_i) is even in each
+    sqrt(r_i), so it is a rational integer, nonzero when v != 0 (square
+    roots of distinct squarefree integers are linearly independent over Q).
+    Every conjugate is below S = |c| + sum |n_i|*(isqrt(r_i) + 1), hence
+    |v| >= S^-(2^m - 1).  Otherwise group the terms by the squarefree part
+    of r_i, a square r_i joining c: the grouped form has m' <= m radicals,
+    and each of its conjugates is still below S, so |v| >= S^-(2^m' - 1)
+    >= S^-(2^m - 1) all the same.  An interval is at most m + 1 units wide,
+    so at bits >= (2^m - 1)*bitlen(S) + bitlen(m + 1) + 1 one that still
+    holds zero proves v = 0.  Here bitlen(S) <= top + bitlen(m + 1), with
+    top the larger of bitlen(c) and the largest term's
+    bitlen(n) + ceil(bitlen(r)/2).
+    """
+    m = len(terms)
+    w = (m + 1).bit_length()
+    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() + 1) // 2 for r, n in terms])
+    return ((1 << m) - 1) * (top + w) + w + 1
 
 
 def _rational(x: Rational) -> Rational:
@@ -356,26 +381,9 @@ class RadicalSum:
         return max(n.bit_length() + (r.bit_length() + 1) // 2 for r, n in self._t)
 
     def _zero_bits(self) -> int:
-        """Bits at which an interval that holds zero proves the value zero.
-
-        Let v = (c + sum n_i*sqrt(r_i))/den with m radical terms; den*v is an
-        algebraic integer.  The product of its 2^m sign-flipped conjugates
-        c + sum +-n_i*sqrt(r_i) is even in each sqrt(r_i), so it is a
-        rational integer, nonzero when v != 0 (square roots of distinct
-        squarefree integers are linearly independent over Q).  Every
-        conjugate is below S = |c| + sum |n_i|*(isqrt(r_i) + 1), hence
-        |den*v| >= S^-(2^m - 1).  ``interval(bits)`` is exactly m units wide,
-        so at bits >= (2^m - 1)*bitlen(S) + bitlen(m + 1) + 1 an interval that
-        still holds zero proves v = 0.  A hidden square p^2, p > 10^4, can
-        make a flipped conjugate vanish when two radicands share a squarefree
-        part; the argument then applies to the merged form, with m' < m terms
-        and S' < 2S, and (2S)^(2^m' - 1) <= S^(2^m - 1) for S >= 2.  Here
-        bitlen(S) <= top + bitlen(m + 1), with top the larger of bitlen(c)
-        and :meth:`_term_bits`.
-        """
-        m = len(self._t)
-        w = (m + 1).bit_length()
-        return ((1 << m) - 1) * (max(self._term_bits(), self._c.bit_length()) + w) + w + 1
+        """Bits at which an interval that holds zero proves the value zero
+        (see :func:`_zero_bits`)."""
+        return _zero_bits(self._c, self._t)
 
     def _enclose(self, bits: int) -> tuple[int, int, int] | None:
         """The first ``(bits, lo, hi)`` of ``interval`` that excludes zero, or
@@ -472,13 +480,34 @@ def _pick_split_prime(rads: list[int]) -> int:
 
 
 def _round_pair(x: int, y: int, d: int, significant: int) -> tuple[int, int, int]:
-    """(e, a, b) for 0 < x <= y and d > 0: 10^e <= x/d < 10^(e+1), and a and b
-    are x/d and y/d times 10^(significant - 1 - e), rounded half to even."""
+    """(e, a, b) for 0 < x <= y and d > 0, with 10^e <= x/d, and a <= b the
+    roundings, half to even, of a lower end of x/d and an upper end of y/d,
+    times 10^(significant - 1 - e).  So every v in [x/d, y/d] rounds there
+    to a digit string between a and b, and a = b gives the digits of all of
+    them; a lies in [10^(significant - 1), 10^significant].
+
+    The scale 10^j, j = significant - 1 - e, multiplies the ends when j > 0:
+    10^j = 5^j 2^j, with 5^j enclosed by :func:`_pow5` and the power of two
+    taken off d's trailing zeros, so a deep scan row's tiny margin, over
+    d = 2^m, is rounded in integers of a few hundred bits; 5^j is exact for
+    the j of a value near 1.  When j <= 0 the exact 10^-j divides.
+    """
     # e from a bit-length estimate and one power of ten, then corrected by
     # factors of ten until x/d lies in [10^(significant - 1), 10^significant)
     e = (x.bit_length() - d.bit_length()) * 30103 // 100000
-    p = 10 ** abs(significant - 1 - e)
-    x, y, d = (x * p, y * p, d) if e < significant else (x, y, d * p)
+    j = significant - 1 - e
+    if j > 0:
+        lo, hi, shift = _pow5(j, 4 * significant + 64 + j.bit_length())
+        zeros = (d & -d).bit_length() - 1
+        # x 10^j/d = x 5^j/(d' 2^(zeros - j)) for d' = d >> zeros, and 5^j
+        # lies between lo and hi times 2^shift
+        x, y, d, t = x * lo, y * hi, d >> zeros, zeros - j - shift
+        if t >= 0:
+            d <<= t
+        else:
+            x, y = x << -t, y << -t
+    else:
+        d *= 10**-j
     low = d * 10 ** (significant - 1)
     while x < low:
         x, y, e = x * 10, y * 10, e - 1
@@ -486,6 +515,34 @@ def _round_pair(x: int, y: int, d: int, significant: int) -> tuple[int, int, int
         d, low, e = d * 10, low * 10, e + 1
     a = _round_half_even(x, d)
     return e, a, a if y == x else _round_half_even(y, d)
+
+
+def _pow5(j: int, prec: int) -> tuple[int, int, int]:
+    """(lo, hi, shift) with lo 2^shift <= 5^j <= hi 2^shift, for j >= 0: exactly
+    (5^j, 5^j, 0) when 5^j has fewer than 8 ``prec`` bits (below that the
+    exact power is the cheaper), else with hi/lo < 1 + 2^(bitlen(j) + 5 - prec).
+
+    Binary powering from j's top bit keeps lo 2^shift <= 5^i <= hi 2^shift
+    for the prefix i of j's bits: squaring and multiplying by 5 keep it, and
+    so does each cut of hi to ``prec`` bits, which floors lo and ceils hi.
+    While hi/lo < 2, a cut leaves lo >= 2^(prec - 2) and so multiplies hi/lo
+    by less than 1 + 2^(3 - prec); squaring squares hi/lo.  Over the
+    bitlen(j) steps, the cut at step i is squared bitlen(j) - i times, so
+    hi/lo < (1 + 2^(3 - prec))^(2 j) < 1 + 2^(bitlen(j) + 5 - prec).
+    """
+    if j * 2322 // 1000 + 1 < 8 * prec:  # 5^j < 2^(2.322 j + 1)
+        p = 5**j
+        return p, p, 0
+    lo = hi = 1
+    shift = 0
+    for bit in bin(j)[2:]:
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        if bit == "1":
+            lo, hi = 5 * lo, 5 * hi
+        cut = hi.bit_length() - prec
+        if cut > 0:
+            lo, hi, shift = lo >> cut, -(-hi >> cut), shift + cut
+    return lo, hi, shift
 
 
 def _settle(e: int, a: int, b: int, significant: int, side: Callable[[Fraction], int]) -> int:

@@ -5,20 +5,24 @@ equality attainers, decides membership in F(k) (partial quotients all
 <= k) and tail-equivalence, and certifies the individual inequalities
 used in the proof of the refined bound as exact sign checks.
 
-A scan decides each row's sign in tail form, from integers of the size of
-q_n, and builds no margin |x - p_n/q_n| - 1/f(q_n) (see
-:func:`verify_bound_scan`).  A row's digits come from the tail form as well,
-from enclosures whose size does not grow with q_n (see
+A scan decides each row's sign in tail form, as the sign of g(q_n) - T_n
+with T_n = alpha_{n+1} + q_{n-1}/q_n, and builds no margin
+|x - p_n/q_n| - 1/f(q_n).  A filter at a fixed precision of _B bits decides
+it from integers whose size does not grow with q_n: the periodic (P, Q)
+state of alpha_{n+1}, the top bits of q_{n-1} and q_n, and an enclosure of
+g.  Rows it cannot decide, the equality phases where g - T_n is O(1/q_n^2),
+take an exact path (see :func:`verify_bound_scan`).  A row's digits come
+from the same enclosures, or from the exact path's (see
 :meth:`VerificationRecord.margin_decimal`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Union
 
-from .bounds import BoundSpec, Outcome, bound_g
+from .bounds import BoundSpec, Outcome, bound_g, g_enclosure
 from .cf import (
     CFExpansion,
     alpha1,
@@ -28,9 +32,11 @@ from .cf import (
     expand_rational,
     expand_surd,
     _purely_periodic_value,
+    _rational_states,
+    _surd_states,
 )
-from .exact import MixedFieldError, QuadSurd, RadicalSum
-from .exact import _interval, _quotient_decimal, _radical, _sign_surd
+from .exact import MixedFieldError, QuadSurd, RadicalSum, square_free_split
+from .exact import _interval, _quotient_decimal, _radical, _sign_surd, _zero_bits
 
 __all__ = [
     "NumberInput",
@@ -57,6 +63,10 @@ NumberInput = Union[int, Fraction, QuadSurd, CFExpansion, tuple[Exact, CFExpansi
 # (c, [(r, n), ...], den) stands for (c + sum n*sqrt(r))/den with den > 0
 Surd = tuple[int, list[tuple[int, int]], int]
 
+# bits of the scan's fixed-precision filter: every enclosure below is an
+# integer times 2^-_B, and q enters through its top _B bits
+_B = 320
+
 
 @dataclass(frozen=True)
 class VerificationRecord:
@@ -64,17 +74,21 @@ class VerificationRecord:
     |x - p/q| - 1/f(q) against the scan's bound.
 
     ``margin_sign`` is decided when the scan makes the record, and
-    ``outcome`` is read off it.  The private tail holds the margin exactly,
-    as f W/(q^2 G T) in integers of the size of q, and
-    :meth:`margin_decimal` renders its digits from there.
+    ``outcome`` is read off it.  The private tail holds what the margin
+    (g - T)/(q^2 g T) is made of: the state (P, Q) of alpha_{n+1} and
+    q_{n-1}, from which g and T are exact, and the filter's enclosures, from
+    which :meth:`margin_decimal` renders most rows' digits.
     """
 
     n: int
     p: int
     q: int
     margin_sign: int
-    # (W, g, T, enc) with the margin f W/(q^2 G T): W = (c, terms), g and T
-    # as Surd, and enc the 64-bit interval of W that decided the sign, if any
+    # (enc, exact, spec, root, (P, Q), q_prev): enc = (ml, mh, gl, gh, tl, th),
+    # the filter's integers of |g - T|, g and T times 2^_B, or None where it
+    # left the sign undecided and exact = (W, g, T) of :func:`_exact_tail`
+    # decided it; alpha_{n+1} = (P + s sqrt(r))/Q for root = (s, r), or P/Q
+    # for a rational (root None; Q = 0 past its last convergent)
     _tail: tuple = field(repr=False, compare=False)
 
     @property
@@ -84,33 +98,54 @@ class VerificationRecord:
 
     def margin_decimal(self, significant: int = 50) -> str:
         """The margin to ``significant`` digits, correctly rounded ("0" for
-        a zero margin).  The margin is exactly f W/(q^2 G T): W has the
-        margin's sign, G and T are the (positive) numerators of g and T, and
-        f = gcd(g.den, T.den).  Each of W, G and T is enclosed to about
-        ``need`` bits of its own size (:func:`_abs_enclosure`), so no
-        ``isqrt`` operand grows with q, and both ends of the quotient are
-        rounded.  Ends that round to different strings are settled by the
-        exact sign of f |W| - mid q^2 G T, a RadicalSum product with no
-        division, for the midpoint ``mid`` between them.  ``significant`` < 1
-        raises ValueError."""
+        a zero margin); ``significant`` < 1 raises ValueError.
+
+        A row the filter decided is rendered from its enclosures, as
+        |g - T|/(q^2 g T) with q^2 between qt^2 4^s and (qt + 1)^2 4^s, for
+        qt = q >> s the top bits of q.  That needs |g - T| to ``need + 3``
+        bits: g and T are at least 1 and enclosed within 5 units of 2^-_B,
+        and qt has over _B bits, so each factor is known to a relative
+        2^-(_B - 3), and with _B >= need + 8 the quotient to 2^-(need - 3),
+        a small part of a last-digit step.
+
+        Other rows, and larger ``significant``, take the exact path: the
+        margin is f W/(q^2 G T), with W, G and T the integer numerators of
+        g - T, g and T (:func:`_exact_tail`) and f = gcd(g.den, T.den), each
+        enclosed to ``need`` bits of its own size by the capped ladder of
+        :func:`_abs_enclosure`.  Ends that round to different strings
+        are settled by the exact sign of f |W| - mid q^2 G T, a RadicalSum
+        product with no division, for the midpoint ``mid`` between them.
+        """
         if significant < 1:
             raise ValueError("significant must be >= 1")
         sign = self.margin_sign
         if not sign:
             return "0"
-        (c, terms), g, t, enc = self._tail
+        q = self.q
+        enc, exact = self._tail[:2]
         need = (10**significant).bit_length() + 64
-        bw, wl, wh = _abs_enclosure(c, terms, need, enc)
-        bg, gl, gh = _abs_enclosure(g[0], g[1], need)
-        bt, tl, th = _abs_enclosure(t[0], t[1], need)
-        f, q2 = gcd(g[2], t[2]), self.q * self.q
-        lo, hi = (f * wl, q2 * gh * th), (f * wh, q2 * gl * tl)
 
         def side(mid: Fraction) -> int:
             # |margin| - mid has the sign of f |W| - mid q^2 G T
+            (c, terms), g, t = exact or _exact_tail(q, *self._tail[2:])
             w, gn, tn = _radical(c, terms), _radical(*g[:2]), _radical(*t[:2])
-            return (w * (sign * f * mid.denominator) - gn * tn * (mid.numerator * q2)).sign()
+            f = gcd(g[2], t[2])
+            return (w * (sign * f * mid.denominator) - gn * tn * (mid.numerator * q * q)).sign()
 
+        if enc is not None and need + 8 <= _B:
+            ml, mh, gl, gh, tl, th = enc
+            if (mh - ml) << (need + 3) <= ml:
+                s = max(0, q.bit_length() - _B - 2)
+                qt = q >> s
+                qh = qt + (s > 0)
+                lo, hi = (ml << _B, qh * qh * gh * th), (mh << _B, qt * qt * gl * tl)
+                return _quotient_decimal(sign < 0, lo, hi, 2 * s, significant, side)
+        (c, terms), g, t = exact or _exact_tail(q, *self._tail[2:])
+        bw, wl, wh = _abs_enclosure(c, terms, need)
+        bg, gl, gh = _abs_enclosure(g[0], g[1], need)
+        bt, tl, th = _abs_enclosure(t[0], t[1], need)
+        f, q2 = gcd(g[2], t[2]), q * q
+        lo, hi = (f * wl, q2 * gh * th), (f * wh, q2 * gl * tl)
         return _quotient_decimal(sign < 0, lo, hi, bw - bg - bt, significant, side)
 
 
@@ -134,54 +169,108 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     """Exact outcome of |x - p_n/q_n| against the bound for n = 0..n_max.
 
     A caller that holds the ``(value, cf)`` pair passes it, so x is not
-    expanded again.  Each sign is decided in tail form, and no margin is
-    built for it.  The threshold is 1/(q^2 g(q)) (:func:`bound_g`), and
+    expanded again.  The threshold is 1/(q^2 g(q)) (:func:`bound_g`), and
     |x - p/q| = 1/(q^2 T) with T = alpha_{n+1} + q_{n-1}/q_n, the tail of
-    :func:`cf.error_identity`; so the margin (g - T)/(q^2 T g) has the sign
-    of g - T, which is O(1).  T comes exactly from the error: with
-    x - p/q = (u + w sqrt(d))/(c q),
+    :func:`cf.error_identity`; so the margin (g - T)/(q^2 g T) has the sign
+    of g - T, which is O(1).  Each sign is decided from integers whose size
+    does not grow with q, a filter at _B bits with an exact fallback:
 
-        T = c/(q |u + w sqrt(d)|) = +-c (u - w sqrt(d))/(q (u^2 - w^2 d)),
+    * alpha_{n+1} = (P + sqrt(D))/Q comes from the (P, Q) state of the
+      recurrence that expands x (:func:`cf._surd_states`), periodic past
+      the head; a rational's states are its Euclid remainders, alpha = P/Q.
+      sqrt(D)*2^_B is enclosed once by isqrt, within one unit, and each
+      state's alpha*2^_B once, within 2 units, by a floor and a ceiling
+      division.
+    * q_{n-1}/q_n*2^_B comes from the top bits of both: with s = bitlen(q) -
+      _B - 2 > 0, qt = q >> s and pt = q_{n-1} >> s, the ratio lies in
+      [pt/(qt + 1), (pt + 1)/qt], an interval of width at most 2/qt
+      <= 2^-_B, so within 3 units of 2^-_B after the floor and ceiling;
+      for smaller q, s = 0 and the one division is exact.
+    * g(q)*2^_B comes from :func:`bounds.g_enclosure`, within 3 units, with
+      sqrt(k^2 + 4) enclosed once.
 
-    where u and -w sqrt(d) share a sign, so nothing cancels (w = 0 for a
-    rational x, whose last convergent, with error 0, holds strictly).  The
-    integers of g - T over a positive denominator, like radicands merged,
-    decide its sign exactly with at most one radical (on the equality rows
-    they merge to one), else by one 64-bit interval.  Only when that
-    interval holds zero is W built as a canonical RadicalSum, whose sign is
-    exact at any size.  A rational's last convergent, with error 0, has the
-    margin -1/(q^2 g) = -g.den/(q^2 G), so its tail is W = -g.den over T = 1.
+    So T*2^_B lies in [tl, th] with th - tl <= 5, g*2^_B in [gl, gh], and
+    g - T > 0 when gl > th, < 0 when gh < tl.  Otherwise the row takes the
+    exact path: T = (q P + Q q_{n-1} + q sqrt(D))/(Q q) from the state, and
+    g - T over a positive denominator, like radicands merged, is decided by
+    one comparison when it has at most one radical (the equality rows,
+    where it has at most one), else by the exact sign of a RadicalSum.  A
+    rational's last convergent, with error 0, has the margin -1/(q^2 g).
     """
     value, cf = coerce_number(x)
     if isinstance(value, Fraction):
-        a, b, c, d = value.numerator, 0, value.denominator, 1
+        root, sd = None, 0
+        states = _rational_states(value) + [(1, 0)]  # past the last convergent T is infinite
+        start = period = len(states)
     else:
-        a, b, c, d = value.a, value.b, value.c, value.d
+        d, states, _, start = _surd_states(value)
+        root, sd = square_free_split(d), isqrt(d << 2 * _B)
+        period = len(states) - start
+    alphas = [_alpha_enclosure(p, q, sd) for p, q in states]
+    g_of = g_enclosure(spec, _B)
     records = []
+    q_prev = 0
     for conv in convergents(cf, n_max):
         n, p, q = conv.n, conv.p, conv.q
-        # x - p/q = (u + w sqrt(d))/(c q), so T = c/(q |u + w sqrt(d)|)
-        u, w = a * q - p * c, b * q
-        norm = u * u - w * w * d
-        g = bound_g(spec, q)
-        if not norm:  # x = p/q: the error is 0 and the threshold positive
-            records.append(VerificationRecord(n, p, q, -1, ((-g[2], []), g, (1, [], 1), None)))
-            continue
-        s = _sign_surd(u, w, d) * (1 if norm > 0 else -1)
-        t = (s * c * u, [(d, -s * c * w)], q * abs(norm))
-        num = const, terms = _numerator(g, t)
-        enc = None
-        if len(terms) <= 1:
-            r, m = terms[0] if terms else (1, 0)
-            sign = _sign_surd(const, m, r)
+        i = n + 1 if n + 1 < len(states) else start + (n + 1 - start) % period
+        gl, gh = g_of(q)
+        exact = None
+        if not states[i][1]:  # x = p/q: the error is 0 and the threshold positive
+            sign, enc = -1, (1, 1, gl, gh, 1, 1)
         else:
-            lo, hi = _interval(const, terms, 64)
-            if lo <= 0 <= hi:
-                sign = _radical(const, terms).sign()
+            s = max(0, q.bit_length() - _B - 2)
+            qt, pt = q >> s, q_prev >> s
+            rl, rh = (pt << _B) // (qt + (s > 0)), ((pt + (s > 0)) << _B) // qt + 1
+            al, ah = alphas[i]
+            tl, th = al + rl, ah + rh
+            if gl > th:
+                sign, enc = 1, (gl - th, gh - tl, gl, gh, tl, th)
+            elif gh < tl:
+                sign, enc = -1, (tl - gh, th - gl, gl, gh, tl, th)
             else:
-                sign, enc = (1 if lo > 0 else -1), (64, lo, hi)
-        records.append(VerificationRecord(n, p, q, sign, (num, g, t, enc)))
+                exact = _exact_tail(q, spec, root, states[i], q_prev)
+                c, terms = exact[0]
+                if len(terms) <= 1:
+                    r, m = terms[0] if terms else (1, 0)
+                    sign = _sign_surd(c, m, r)
+                else:
+                    sign = RadicalSum._make(c, terms, 1).sign()
+                enc = None
+        tail = (enc, exact, spec, root, states[i], q_prev)
+        records.append(VerificationRecord(n, p, q, sign, tail))
+        q_prev = q
     return records
+
+
+def _alpha_enclosure(p: int, q: int, sd: int) -> tuple[int, int] | None:
+    """Integers lo <= (p + sqrt(D))/q * 2^_B <= hi, for q != 0 and
+    sd = isqrt(D * 4^_B), so that p 2^_B + sqrt(D) 2^_B lies in [m, m + 1)
+    for m = p 2^_B + sd; None for q = 0."""
+    if not q:
+        return None
+    m = (p << _B) + sd
+    if q > 0:
+        return m // q, -(-(m + 1) // q)
+    return (m + 1) // q, -(-m // q)
+
+
+def _exact_tail(q: int, spec: BoundSpec, root, state: tuple[int, int], q_prev: int) -> tuple:
+    """(W, g, T) of a row, exactly: g = :func:`bound_g`, T = alpha_{n+1} +
+    q_{n-1}/q as a Surd, and W = (c, terms) the integers of a positive
+    multiple of g - T (:func:`_numerator`).  With alpha = (P + s sqrt(r))/Q,
+
+        T = (q P + Q q_{n-1} + q s sqrt(r))/(Q q),
+
+    negated above and below when Q < 0.  Past a rational's last convergent
+    (Q = 0) the margin is -1/(q^2 g), which is W = -g.den over T = 1."""
+    g = bound_g(spec, q)
+    p, qq = state
+    if not qq:
+        return (-g[2], []), g, (1, [], 1)
+    u = 1 if qq > 0 else -1
+    terms = [(root[1], u * q * root[0])] if root else []
+    t = (u * (q * p + qq * q_prev), terms, u * qq * q)
+    return _numerator(g, t), g, t
 
 
 def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
@@ -200,30 +289,35 @@ def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
     return td * gc - gd * tc, [(r, n) for r, n in acc.items() if n]
 
 
-def _floor_log2(c: int, terms: list[tuple[int, int]], enc: Optional[tuple] = None) -> int:
-    """e with |c + sum n*sqrt(r)| >= 2^e, for a nonzero value: from the bit
-    lengths if no term is negative, else from ``enc`` (bits, lo, hi) of
-    :func:`_interval` if it excludes zero, else from the first interval that
-    does, starting about 64 bits below the largest term's length."""
-    # the largest term is at least 2^(top - 1): sqrt(r) >= 2^((bitlen(r) - 1) // 2)
-    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() - 1) // 2 for r, n in terms])
-    if enc is None and c >= 0 and all(n > 0 for _, n in terms):
-        return top - 1
-    rel = 64
-    while enc is None:
-        lo, hi = _interval(c, terms, rel - top)
-        if lo > 0 or hi < 0:
-            enc = rel - top, lo, hi
-        rel *= 2
-    bits, lo, hi = enc
-    return min(abs(lo), abs(hi)).bit_length() - 1 - bits
+def _abs_enclosure(c: int, terms: list[tuple[int, int]], need: int) -> tuple[int, int, int]:
+    """(bits, lo, hi) with lo <= |v|*2^bits <= hi and lo >= 2^(need - 1) - m - 1
+    for a nonzero v = c + sum n*sqrt(r) of m terms; the radicands need not
+    be squarefree.
 
-
-def _abs_enclosure(c: int, terms: list[tuple[int, int]], need: int, enc=None) -> tuple:
-    """(bits, lo, hi) with lo <= |c + sum n*sqrt(r)|*2^bits <= hi from one
-    :func:`_interval`, at the bits that put the nonzero value at 2^need or
-    more, so lo > 2^need - m - 1 for m terms."""
-    bits = need - _floor_log2(c, terms, enc)
+    Every term is below 2^top and the largest at least 2^(top - 2), so a v
+    with no negative term is at least 2^(top - 2) and needs no ladder.
+    Otherwise the ladder tries bits = rel - top for rel = 64, 128, ...,
+    whose isqrt operands have about 2 rel bits, until an interval excludes
+    zero.  It ends by bits = :func:`exact._zero_bits`, where an interval
+    that holds zero would prove v = 0 (that bound holds for radicands with
+    square factors too), so it takes at most log2((top + zero bits)/64) + 1
+    rungs.  Then one interval at the bits the shorter endpoint lacks puts
+    |v| at 2^(need - 1) units or more, m + 1 units wide.
+    """
+    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() + 1) // 2 for r, n in terms])
+    if c >= 0 and all(n > 0 for _, n in terms):
+        bits = need - top + 1
+    else:
+        rel, cap = 64, None
+        while True:
+            lo, hi = _interval(c, terms, rel - top)
+            if lo > 0 or hi < 0:
+                break
+            cap = cap or _zero_bits(c, terms)
+            if rel - top >= cap:
+                raise ArithmeticError("an enclosed value is zero")
+            rel *= 2
+        bits = rel - top + need - min(abs(lo), abs(hi)).bit_length()
     return (bits, *sorted(map(abs, _interval(c, terms, bits))))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_g, f_value
+from cfbounds.bounds import BOUND_KINDS, BoundSpec, bound_g, f_value, g_enclosure
 from cfbounds.exact import RadicalSum
 from cfbounds.verify import LemmaInstance, check_lemma
 from conftest import g_value
@@ -111,6 +111,46 @@ def test_threshold_is_one_over_q_squared_g(kind):
             assert bound_g(spec, q)[2] > 0
             diff = g_value(spec, q) * (q * q) - _paper_denominator(kind, k, q)
             assert diff.sign() == 0, (kind, k, q)
+
+
+# g_inf, the limit of g(q), for each kind
+_G_LIMIT = {"dirichlet": 1, "vahlen": 2, "hurwitz": 5, "borel": 5, "hancl_nair": 5, "hancl_g": 5}
+_LEMMA_QS = list(range(1, 301)) + [2**200 + 1, 3**130, 2**401 - 1, 10**150 + 7]
+
+
+def _g_inf(spec) -> RadicalSum:
+    limit = _G_LIMIT.get(spec.kind)
+    if limit is None:
+        return RadicalSum.sqrt(spec.k * spec.k + 4)
+    return RadicalSum(limit) if spec.kind in ("dirichlet", "vahlen") else RadicalSum.sqrt(limit)
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+def test_g_lies_between_its_limit_and_the_limit_plus_one_over_q_squared(kind):
+    # g_inf <= g(q) <= g_inf + 1/q^2, by exact signs: the lemma under g_enclosure
+    for k in (1, 2, 5):
+        spec = _spec(kind, k)
+        g_inf = _g_inf(spec)
+        for q in _LEMMA_QS:
+            g = g_value(spec, q)
+            assert (g - g_inf).sign() >= 0, (kind, k, q)
+            assert (g_inf + Fraction(1, q * q) - g).sign() >= 0, (kind, k, q)
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+@pytest.mark.parametrize("bits", [8, 64, 320])
+def test_g_enclosure_holds_g_on_both_sides_of_the_constant_regime(kind, bits):
+    # below q = 2^(bits//2 + 1) the enclosure uses q^2, above it g_inf alone;
+    # both hold g(q)*2^bits within 3 units
+    for k in (1, 2, 5):
+        spec = _spec(kind, k)
+        enc = g_enclosure(spec, bits)
+        edge = 1 << (bits // 2 + 1)
+        for q in _LEMMA_QS + [edge - 1, edge, edge + 1]:
+            lo, hi = enc(q)
+            assert 0 <= hi - lo <= 3, (kind, k, q)
+            scaled = g_value(spec, q) * (1 << bits)
+            assert (scaled - lo).sign() >= 0 and (hi - scaled).sign() >= 0, (kind, k, q)
 
 
 def test_requires_k_for_parametric_bounds():

@@ -1,10 +1,15 @@
 """CLI behavior: schemas, determinism, exit codes."""
+import contextlib
 import hashlib
 import io
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbounds import cli, exact, verify
 from cfbounds.cf import IdentityMismatch
@@ -195,6 +200,22 @@ def test_exit_4_when_decimal_endpoints_round_apart(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys):
+    # every line is rendered before any is written
+    dumps, rendered = json.dumps, []
+
+    def failing(row):
+        rendered.append(row)
+        if len(rendered) == 3:
+            raise ValueError("cannot render")
+        return dumps(row)
+
+    monkeypatch.setattr(cli.json, "dumps", failing)
+    code, out = run_cli(["convergents", "rat:355/113", "--n", "2"])
+    assert code == 3 and out == "" and len(rendered) == 3
+    assert capsys.readouterr().err == "error: cannot render\n"
+
+
 def test_report_corpus(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(
@@ -367,3 +388,88 @@ def test_exit_2_on_usage_error():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+# integers on both sides of CPython's 4,300-digit int/str limit
+_DIGITS = [1, 30, 4299, 4300, 4301, 4400]
+
+
+def _big(draw, digits=_DIGITS) -> int:
+    n = draw(st.sampled_from(digits))
+    return draw(st.integers(10 ** (n - 1), 10**n - 1))
+
+
+@st.composite
+def _spec(draw) -> str:
+    kind = draw(st.sampled_from(["rat", "rat-big-den", "surd", "cf", "bad-den", "bad-root", "bad-text"]))
+    if kind == "surd":
+        # m^2 + e has a period of length at most 2, so R may have any size
+        m, e = _big(draw, [1, 15, 2150, 2151, 2200]) + 1, draw(st.sampled_from([1, 2, -1]))
+        return f"surd:({draw(st.integers(-9, 9))}+1*sqrt({m * m + e}))/1"
+    if kind == "cf":  # large partial quotients make p and q long at small n
+        return f"cf:[{_big(draw)};{_big(draw)},({_big(draw)})]"
+    a = _big(draw)
+    if kind == "rat":
+        return f"rat:{draw(st.sampled_from(['', '-']))}{a}/{draw(st.integers(1, 99))}"
+    if kind == "rat-big-den":
+        return f"rat:{a}/{_big(draw)}"
+    if kind == "bad-den":
+        return f"rat:{a}/0"
+    if kind == "bad-root":
+        return f"surd:(1+{a}*sqrt(-3))/2"
+    return f"rat:{a}/{a}x"
+
+
+@st.composite
+def _argv(draw, corpus: str) -> list[str]:
+    spec, n = draw(_spec()), str(draw(st.integers(-1, 4)))
+    bound = draw(st.sampled_from([["--bound", "hancl_nair"], ["--bound", "refined_f", "--k", "2"],
+                                  ["--bound", "nathanson", "--k", "1"], ["--bound", "borel"]]))
+    command = draw(st.sampled_from(["expand", "convergents", "verify", "classify", "classical", "report"]))
+    if command == "expand":
+        return ["expand", spec]
+    if command == "convergents":
+        return ["convergents", spec, "--n", n]
+    if command == "verify":
+        return ["verify", spec, *bound, "--n", n]
+    if command == "classify":
+        return ["classify-equality", spec, "--k", "2", "--n", n]
+    if command == "classical":
+        return ["classical", spec, "--rule", "borel_triples", "--n", n]
+    Path(corpus).write_text(spec + "\n", encoding="utf-8")
+    return ["report", "--corpus", corpus, *bound, "--n", n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_failure_maps_to_its_exit_code_whatever_the_integer_size(data):
+    # exit codes 0..4 only, no traceback and no refusal for the digit limit,
+    # nothing on stdout for 2, 3 and 4, and the caller's limit restored
+    limit = sys.get_int_max_str_digits()
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.set_int_max_str_digits(0)  # to write the specs
+        try:
+            argv = data.draw(_argv(str(Path(tmp) / "corpus.txt")))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv, out=out)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue() and "limit" not in err.getvalue(), argv
+    assert code < 2 or out.getvalue() == ""
+    assert code > 1 or out.getvalue()
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_integers_past_the_digit_limit_convert_both_ways():
+    # R = 10^200 + 1: the convergents of sqrt(R) pass 4,300 digits by n = 50,
+    # and a rat: numerator of 4,400 digits parses
+    code, out = run_cli(["verify", f"surd:(0+1*sqrt({10**200 + 1}))/1", "--bound", "refined_f",
+                         "--k", "2", "--n", "50"])
+    assert code == 0 and len(out.splitlines()) == 51
+    code, out = run_cli(["expand", "rat:7" + "0" * 4398 + "1/3"])
+    assert code == 0 and json.loads(out)["cf"].startswith("[2" + "3" * 4399 + ";")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfbounds import exact
+from cfbounds import bounds, exact, verify
 from cfbounds.bounds import BoundSpec
 from cfbounds.cf import expand_surd
 from cfbounds.cli import main
@@ -603,10 +603,10 @@ def test_sign_and_decimal_agree_in_either_order_and_on_copies(c0, terms):
 
 
 def test_verify_takes_one_enclosure_per_margin(monkeypatch):
-    # a row decided in tail form builds no RadicalSum and takes no RadicalSum
-    # interval or decimal: its digits come from enclosures of g - T, g and T
-    # at the bits the digits need, so no isqrt operand of the rendering
-    # grows with depth
+    # a row decided by the scan's filter builds no RadicalSum and takes no
+    # RadicalSum interval or decimal: its sign and digits come from fixed-size
+    # enclosures of g - T, g and T, so no isqrt operand of the scan or of the
+    # rendering grows with depth
     calls = []
     interval, decimal, assign = RadicalSum.interval, RadicalSum.decimal, RadicalSum._assign
 
@@ -629,12 +629,14 @@ def test_verify_takes_one_enclosure_per_margin(monkeypatch):
     assert main(argv, out=io.StringIO()) == 0
     widest = {}
     for n in (200, 1600):
-        records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), n)
         sizes = []
-        monkeypatch.setattr(exact, "isqrt", lambda v: sizes.append(v.bit_length()) or isqrt(v))
+        for module in (exact, bounds, verify):
+            monkeypatch.setattr(module, "isqrt", lambda v: sizes.append(v.bit_length()) or isqrt(v))
+        records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), n)
         for r in records:
             r.margin_decimal(50)
-        monkeypatch.setattr(exact, "isqrt", isqrt)
+        for module in (exact, bounds, verify):
+            monkeypatch.setattr(module, "isqrt", isqrt)
         widest[n] = max(sizes)
     monkeypatch.undo()
     assert calls == []

@@ -83,17 +83,42 @@ def _tail_equals_direct(x, spec, n):
     return records
 
 
+# the filter's g(q) is constant once q > 2^(_B/2 + 1)
+_CONSTANT_G = verify._B // 2 + 1
+
+# heads whose second state (P, Q) has Q < 0: alpha_1 = (P + sqrt(D))/Q with P < -sqrt(D)
+_NEGATIVE_Q = [QuadSurd.make(-4, 1, 7, 2), QuadSurd.make(-5, 1, 7, 3)]
+
+
+def _depth_past_constant_g(x) -> int:
+    """A depth whose last rows have q > 2^(_B/2 + 1), with 20 rows to spare."""
+    records = verify_bound_scan(x, BoundSpec("dirichlet"), 2000)
+    return next(r.n for r in records if r.q.bit_length() > _CONSTANT_G) + 20
+
+
 def test_tail_signs_equal_direct_signs_on_random_surds():
     rng = random.Random(2024)
-    for _ in range(40):
-        x = make_random_surd(rng, dmax=300)
+    xs = [make_random_surd(rng, dmax=300) for _ in range(40)]
+    assert all(verify._surd_states(x)[1][1][1] < 0 for x in _NEGATIVE_Q)
+    for i, x in enumerate(xs + _NEGATIVE_Q):
+        # every eighth surd, and those with Q < 0, reach the constant-g rows
+        depth = _depth_past_constant_g(x) if i % 8 == 0 or i >= len(xs) else 60
         for spec in _ALL_SPECS:
-            _tail_equals_direct(x, spec, 60)
+            _tail_equals_direct(x, spec, depth)
+
+
+def _fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 @pytest.mark.parametrize(
     "x", [Fraction(10, 7), Fraction(355, 113), Fraction(-7, 2), Fraction(1, 2), Fraction(5, 2),
-          Fraction(10**30 + 7, 10**29 + 3), Fraction(3)],
+          Fraction(10**30 + 7, 10**29 + 3), Fraction(3),
+          # [1; 1, ..., 1, 2]: its last rows have q > 2^(_B/2 + 1)
+          Fraction(_fibonacci(301), _fibonacci(300))],
 )
 def test_tail_signs_equal_direct_signs_on_rationals(x):
     depth = len(expand_rational(x)) - 1
@@ -110,13 +135,14 @@ def test_tail_signs_equal_direct_signs_on_equality_families(k):
     translates = [alpha1(k) + t for t in (-3, 0, 2)]
     if k >= 2:
         translates += [alpha2(k) + t for t in (-3, 0, 2)]
+    depth = _depth_past_constant_g(alpha1(k))
     for x in translates:
         for spec in (BoundSpec("refined_f", k), BoundSpec("nathanson", k), BoundSpec("hancl_g")):
-            records = _tail_equals_direct(x, spec, 60)
+            records = _tail_equals_direct(x, spec, depth)
             if spec.kind == "refined_f":
                 first = 1 if classify_equality(x, k) == "alpha1" else 2
                 zeros = [r.n for r in records if r.margin_sign == 0]
-                assert zeros == list(range(first, 61, 2))
+                assert zeros == list(range(first, depth + 1, 2))
 
 
 @pytest.mark.parametrize("kind", ["hurwitz", "borel", "hancl_nair"])
@@ -126,21 +152,26 @@ def test_tail_signs_equal_direct_signs_where_g_minus_t_vanishes(kind):
     _tail_equals_direct(GOLDEN, BoundSpec(kind), 100)
 
 
-def test_fallback_rows_keep_the_margin_they_built(monkeypatch):
-    # an interval that never decides sends every row with two radicals to the
-    # exact sign of its numerator W as a canonical RadicalSum
-    built = []
-    radical = verify._radical
-    monkeypatch.setattr(verify, "_interval", lambda c, terms, bits: (-1, 1))
-    monkeypatch.setattr(verify, "_radical", lambda c, terms: built.append(c) or radical(c, terms))
-    x, spec = QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2)
-    records = verify_bound_scan(x, spec, 40)
-    assert 0 < len(built) == sum(len(r._tail[0][1]) > 1 for r in records)
-    # the ladder of _floor_log2 never ends on that interval, so render unpatched
-    monkeypatch.undo()
-    for r in records:
-        direct = direct_margin(x, spec, r.p, r.q)
-        assert r.margin_sign == direct.sign() and r.margin_decimal(50) == direct.decimal(50)
+def test_rows_the_filter_leaves_undecided_take_the_exact_path(monkeypatch):
+    # an enclosure of alpha too wide to decide anything sends every row to the
+    # exact sign of g - T, with T from the (P, Q) state, and every digit string
+    # to the exact enclosures of W, G and T
+    signs = []
+    sign = RadicalSum.sign
+    monkeypatch.setattr(verify, "_alpha_enclosure", lambda p, q, sd: q and (-(1 << 900), 1 << 900) or None)
+    monkeypatch.setattr(RadicalSum, "sign", lambda self: signs.append(1) or sign(self))
+    cases = [(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), 40), (GOLDEN, BoundSpec("hancl_nair"), 30),
+             (_NEGATIVE_Q[0], BoundSpec("hurwitz"), 30), (Fraction(355, 113), BoundSpec("vahlen"), 2)]
+    undecided = []
+    for x, spec, n in cases:
+        records = verify_bound_scan(x, spec, n)
+        # past a rational's last convergent (Q = 0) the margin is -1/(q^2 g)
+        undecided += [r._tail[0] is None for r in records if r._tail[4][1]]
+        for r in records:
+            direct = direct_margin(x, spec, r.p, r.q)
+            assert r.margin_sign == direct.sign() and r.margin_decimal(50) == direct.decimal(50)
+    # hancl_nair's sqrt(61) leaves two radicals on the golden ratio's rows
+    assert all(undecided) and len(signs) > 31
 
 
 @pytest.mark.parametrize("significant", [0, -1])
@@ -155,7 +186,7 @@ def test_margin_decimal_rejects_fewer_than_one_digit(significant):
 def test_margin_decimal_equals_the_canonical_margins_decimal():
     rng = random.Random(7)
     xs = [make_random_surd(rng, dmax=300) for _ in range(6)]
-    xs += [GOLDEN, alpha1(2) + 1, Fraction(355, 113)]
+    xs += [GOLDEN, alpha1(2) + 1, Fraction(355, 113), *_NEGATIVE_Q]
     xs += [alpha1(3) + t for t in (-2, 0, 3)] + [alpha2(3) + t for t in (-2, 0, 3)]
     for x in xs:
         depth = len(expand_rational(x)) - 1 if isinstance(x, Fraction) else 40
@@ -163,11 +194,15 @@ def test_margin_decimal_equals_the_canonical_margins_decimal():
             for r in verify_bound_scan(x, spec, depth):
                 direct = direct_margin(x, spec, r.p, r.q)
                 assert r.margin_decimal(50) == direct.decimal(50), (x, spec, r.n)
-    # deep rows, where q has about 450 bits
+    # deep rows, where q has about 450 bits, and more digits than the filter
+    # holds, which the exact path renders
     x = QuadSurd.make(3, 2, 5, 7)
     for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair")):
         for r in verify_bound_scan(x, spec, 300):
-            assert r.margin_decimal(50) == direct_margin(x, spec, r.p, r.q).decimal(50), (spec, r.n)
+            direct = direct_margin(x, spec, r.p, r.q)
+            assert r.margin_decimal(50) == direct.decimal(50), (spec, r.n)
+            if r.n % 20 == 0:
+                assert r.margin_decimal(90) == direct.decimal(90), (spec, r.n)
 
 
 def test_tail_digits_are_rounded_from_an_enclosure_of_the_margin(monkeypatch):
