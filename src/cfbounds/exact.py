@@ -10,15 +10,18 @@ three value types:
   over one shared positive denominator.
 
 The sign of a RadicalSum with one radical term is decided by one integer
-comparison.  With more terms it is decided by integer directed rounding:
-with the value scaled by its denominator and by 2^bits, every radical term is
-rounded outward to neighbouring integers with ``isqrt``, and the working
-precision doubles until the interval excludes zero or reaches the value's
-separation bound (:func:`_zero_bits`; Burnikel, Funke, Mehlhorn,
-Schirra and Schmitt, Algorithmica 55, 2009), where it proves the value zero.
-After a first try at 64 bits the precision jumps to the bit length of the
-largest term.  :meth:`RadicalSum.decimal` climbs the same ladder from the
-first rung that can hold its digits, plus at most one more interval.
+comparison.  Every other sign and every decimal digit comes from one
+ladder, :func:`_enclose`, by integer directed rounding: with the value
+scaled by its denominator and by 2^bits, every radical term is rounded
+outward to neighbouring integers with ``isqrt``.  A sum whose terms all
+have one sign takes one interval at the bits its digits need.  A
+cancelling sum starts at the first rung 64*2^i at or above those bits,
+jumps after a failed rung to the bit length of its largest term, and
+doubles until the interval excludes zero or reaches the value's
+separation bound (:func:`_zero_bits`; Burnikel, Funke, Mehlhorn, Schirra
+and Schmitt, Algorithmica 55, 2009), where it proves the value zero; so
+it takes at most the rungs up to that bound, plus one interval that tops
+up the digits.
 """
 from __future__ import annotations
 
@@ -144,6 +147,16 @@ def _interval(c: int, terms: Iterable[tuple[int, int]], bits: int) -> tuple[int,
     return lo, hi
 
 
+def _top(c: int, terms: list[tuple[int, int]] | tuple) -> int:
+    """The larger of bitlen(c) and every term's bitlen(n) + ceil(bitlen(r)/2).
+
+    |c| and every |n|*sqrt(r) lie below 2^top, and the largest of them is
+    at least 2^(top - 2): |n|*sqrt(r) >= 2^(bitlen(n) - 1 + (bitlen(r) - 1)/2),
+    and (bitlen(r) - 1)/2 >= ceil(bitlen(r)/2) - 1.
+    """
+    return max([c.bit_length()] + [n.bit_length() + (r.bit_length() + 1) // 2 for r, n in terms])
+
+
 def _zero_bits(c: int, terms: list[tuple[int, int]] | tuple) -> int:
     """Bits at which an :func:`_interval` of c + sum n_i*sqrt(r_i), integers
     with r_i > 1, that holds zero proves the value zero.
@@ -160,13 +173,79 @@ def _zero_bits(c: int, terms: list[tuple[int, int]] | tuple) -> int:
     >= S^-(2^m - 1) all the same.  An interval is at most m + 1 units wide,
     so at bits >= (2^m - 1)*bitlen(S) + bitlen(m + 1) + 1 one that still
     holds zero proves v = 0.  Here bitlen(S) <= top + bitlen(m + 1), with
-    top the larger of bitlen(c) and the largest term's
-    bitlen(n) + ceil(bitlen(r)/2).
+    top from :func:`_top`.
     """
     m = len(terms)
     w = (m + 1).bit_length()
-    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() + 1) // 2 for r, n in terms])
-    return ((1 << m) - 1) * (top + w) + w + 1
+    return ((1 << m) - 1) * (_top(c, terms) + w) + w + 1
+
+
+def _enclose(c: int, terms: list[tuple[int, int]] | tuple, need: int) -> tuple[int, int, int, int] | None:
+    """(sign, bits, lo, hi) of a nonzero v = c + sum n*sqrt(r), for integers
+    with r >= 1 and m terms: v's sign, and lo <= |v|*2^bits <= hi with
+    hi - lo <= m + 1 and lo >= 2^(need - 1) - m - 1.  None when v = 0.
+
+    Every :func:`_interval` is at most m + 1 units wide, so one that puts
+    |v| at 2^(need - 1) units or more has lo >= 2^(need - 1) - m - 1.  When
+    c and every n have one sign, v has it, and |v| is at least the largest
+    of |c| and the terms, at least 2^(top - 2) (:func:`_top`): one interval
+    at need - top + 1 bits, fewer than 0 when top > need + 1, puts |v| at
+    2^(need - 1) units or more.
+
+    A cancelling sum climbs a ladder of rungs 64*2^i, from the first at or
+    above need, doubling, and after a failed rung jumping to the first rung
+    at or above top: below it every rung costs an ``isqrt`` nearly as long
+    as one at top.  The first rung that excludes zero gives v's sign and
+    |v|*2^bits >= M, the end nearer zero; when M < 2^(need - 1), one more
+    interval at need - bitlen(M) more bits puts |v| at 2^(need - 1) units
+    or more.  A rung at or above :func:`_zero_bits`, which is above top,
+    whose interval holds zero proves v = 0.  So the ladder ends by the
+    first rung at or above :func:`_zero_bits`, and takes at most the rungs
+    from its first one to that one, plus one interval.
+    """
+    pos, neg = c > 0, c < 0
+    for _, n in terms:
+        pos, neg = pos or n > 0, neg or n < 0
+    if not (pos or neg):
+        return None
+    if not (pos and neg):
+        sign = 1 if pos else -1
+        bits = need - _top(c, terms) + 1
+        lo, hi = _interval(c, terms, bits)
+    else:
+        bits, cap = 64, 0
+        while bits < need:
+            bits *= 2
+        while True:
+            lo, hi = _interval(c, terms, bits)
+            if lo > 0 or hi < 0:
+                break
+            if not cap:
+                cap, top = _zero_bits(c, terms), _top(c, terms)
+            if bits >= cap:
+                return None
+            bits *= 2
+            while bits < top:
+                bits *= 2
+        sign = 1 if lo > 0 else -1
+        short = need - min(abs(lo), abs(hi)).bit_length()
+        if short > 0:
+            bits += short
+            lo, hi = _interval(c, terms, bits)
+    return (sign, bits, lo, hi) if sign > 0 else (sign, bits, -hi, -lo)
+
+
+def _sign(c: int, terms: list[tuple[int, int]] | tuple) -> int:
+    """Exact sign of c + sum n*sqrt(r), for integers with r >= 1: one
+    comparison with at most one radical term (:func:`_sign_surd`), else the
+    sign that :func:`_enclose` finds, 0 where it proves the value zero."""
+    if len(terms) == 1:
+        ((r, n),) = terms
+        return _sign_surd(c, n, r)
+    if not terms:
+        return _sgn(c)
+    enc = _enclose(c, terms, 0)
+    return enc[0] if enc else 0
 
 
 def _rational(x: Rational) -> Rational:
@@ -376,50 +455,9 @@ class RadicalSum:
         """Integers lo <= value*den*2^bits <= hi (see :func:`_interval`)."""
         return _interval(self._c, self._t, bits)
 
-    def _term_bits(self) -> int:
-        """Bit length of the largest radical term: max bitlen(n) + ceil(bitlen(r)/2)."""
-        return max(n.bit_length() + (r.bit_length() + 1) // 2 for r, n in self._t)
-
-    def _zero_bits(self) -> int:
-        """Bits at which an interval that holds zero proves the value zero
-        (see :func:`_zero_bits`)."""
-        return _zero_bits(self._c, self._t)
-
-    def _enclose(self, bits: int) -> tuple[int, int, int] | None:
-        """The first ``(bits, lo, hi)`` of ``interval`` that excludes zero, or
-        None once an interval holds zero at or above :meth:`_zero_bits`.
-
-        The ladder starts at ``bits`` (a rung 64*2^i) and doubles, but when
-        the first rung fails it jumps to the first rung at or above
-        :meth:`_term_bits`: below that every rung costs an ``isqrt`` nearly as
-        long as the one that decides.
-        """
-        cap = top = 0
-        while True:
-            lo, hi = self.interval(bits)
-            if lo > 0 or hi < 0:
-                return bits, lo, hi
-            if not cap:
-                cap, top = self._zero_bits(), self._term_bits()
-            if bits >= cap:
-                return None
-            bits *= 2
-            while bits < top:
-                bits *= 2
-
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        A rational or one-radical value is decided by one comparison; any
-        other by :meth:`_enclose` from 64 bits, where None proves zero.
-        """
-        if not self._t:
-            return _sgn(self._c)
-        if len(self._t) == 1:
-            ((r, n),) = self._t
-            return _sign_surd(self._c, n, r)
-        enc = self._enclose(64)
-        return 0 if enc is None else (1 if enc[1] > 0 else -1)
+        """Exact sign in {-1, 0, +1} (see :func:`_sign`)."""
+        return _sign(self._c, self._t)
 
     # -- rendering
 
@@ -428,34 +466,28 @@ class RadicalSum:
 
         Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
         one digit), rounded half to even; ``significant`` < 1 raises
-        ValueError.  The digits come from :meth:`_enclose`, started at the
-        first rung that can hold them, plus one interval at the bits its
-        shorter endpoint lacks, rounded once: that interval is m units wide
-        (m radical terms) around a value of at least 2^(need - 1) units, so
-        its width is below 2^-62 of a step in the last digit.  Endpoints
-        that round apart go to :func:`_settle`.
+        ValueError.  The digits are rounded once from :func:`_enclose` of
+        the numerator at ``need`` bits: an enclosure at most m + 1 units wide
+        (m radical terms) of a value of at least 2^(need - 1) units, so its
+        width is below 2^-62 of a step in the last digit.  Endpoints that
+        round apart go to :func:`_settle`.
         """
         if significant < 1:
             raise ValueError("significant must be >= 1")
         if not self._t:
             if not self._c:
                 return "0"
-            bits, lo, hi = 0, self._c, self._c
+            sign, bits, lo, hi = _sgn(self._c), 0, abs(self._c), abs(self._c)
         else:
             need = (10**significant).bit_length() + len(self._t).bit_length() + 64
-            bits = 64
-            while bits < need:
-                bits *= 2
-            enc = self._enclose(bits)
+            enc = _enclose(self._c, self._t, need)
             if enc is None:
                 return "0"
-            bits, lo, hi = enc
-            short = need - min(abs(lo), abs(hi)).bit_length()
-            if short > 0:
-                bits += short
-                lo, hi = self.interval(bits)
-        neg = hi < 0
-        e, a, b = _round_pair(-hi if neg else lo, -lo if neg else hi, self.den << bits, significant)
+            sign, bits, lo, hi = enc
+            if bits < 0:  # a sum of one sign above 2^need
+                lo, hi, bits = lo << -bits, hi << -bits, 0
+        neg = sign < 0
+        e, a, b = _round_pair(lo, hi, self.den << bits, significant)
         if b != a:
             a = _settle(e, a, b, significant, lambda t: -(self + t).sign() if neg else (self - t).sign())
         return _format_decimal(neg, a, e, significant)

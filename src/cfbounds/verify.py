@@ -36,7 +36,7 @@ from .cf import (
     _surd_states,
 )
 from .exact import MixedFieldError, QuadSurd, RadicalSum, square_free_split
-from .exact import _interval, _quotient_decimal, _radical, _sign_surd, _zero_bits
+from .exact import _enclose, _quotient_decimal, _radical, _sign
 
 __all__ = [
     "NumberInput",
@@ -111,10 +111,12 @@ class VerificationRecord:
         Other rows, and larger ``significant``, take the exact path: the
         margin is f W/(q^2 G T), with W, G and T the integer numerators of
         g - T, g and T (:func:`_exact_tail`) and f = gcd(g.den, T.den), each
-        enclosed to ``need`` bits of its own size by the capped ladder of
-        :func:`_abs_enclosure`.  Ends that round to different strings
-        are settled by the exact sign of f |W| - mid q^2 G T, a RadicalSum
-        product with no division, for the midpoint ``mid`` between them.
+        enclosed to ``need`` bits of its own size by :func:`exact._enclose`:
+        in one interval when its terms have one sign, as g's do, else by the
+        ladder that the separation bound caps.  Ends that round to
+        different strings are settled by the exact sign of f |W| - mid q^2 G
+        T, a RadicalSum product with no division, for the midpoint ``mid``
+        between them.
         """
         if significant < 1:
             raise ValueError("significant must be >= 1")
@@ -141,9 +143,9 @@ class VerificationRecord:
                 lo, hi = (ml << _B, qh * qh * gh * th), (mh << _B, qt * qt * gl * tl)
                 return _quotient_decimal(sign < 0, lo, hi, 2 * s, significant, side)
         (c, terms), g, t = exact or _exact_tail(q, *self._tail[2:])
-        bw, wl, wh = _abs_enclosure(c, terms, need)
-        bg, gl, gh = _abs_enclosure(g[0], g[1], need)
-        bt, tl, th = _abs_enclosure(t[0], t[1], need)
+        _, bw, wl, wh = _enclose(c, terms, need)
+        _, bg, gl, gh = _enclose(g[0], g[1], need)
+        _, bt, tl, th = _enclose(t[0], t[1], need)
         f, q2 = gcd(g[2], t[2]), q * q
         lo, hi = (f * wl, q2 * gh * th), (f * wh, q2 * gl * tl)
         return _quotient_decimal(sign < 0, lo, hi, bw - bg - bt, significant, side)
@@ -193,9 +195,10 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     g - T > 0 when gl > th, < 0 when gh < tl.  Otherwise the row takes the
     exact path: T = (q P + Q q_{n-1} + q sqrt(D))/(Q q) from the state, and
     g - T over a positive denominator, like radicands merged, is decided by
-    one comparison when it has at most one radical (the equality rows,
-    where it has at most one), else by the exact sign of a RadicalSum.  A
-    rational's last convergent, with error 0, has the margin -1/(q^2 g).
+    :func:`exact._sign`: one comparison when it has at most one radical (the
+    equality rows, where it has at most one), else the sign that the ladder
+    of :func:`exact._enclose` finds, or proves zero.  A rational's last
+    convergent, with error 0, has the margin -1/(q^2 g).
     """
     value, cf = coerce_number(x)
     if isinstance(value, Fraction):
@@ -229,13 +232,7 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
                 sign, enc = -1, (tl - gh, th - gl, gl, gh, tl, th)
             else:
                 exact = _exact_tail(q, spec, root, states[i], q_prev)
-                c, terms = exact[0]
-                if len(terms) <= 1:
-                    r, m = terms[0] if terms else (1, 0)
-                    sign = _sign_surd(c, m, r)
-                else:
-                    sign = RadicalSum._make(c, terms, 1).sign()
-                enc = None
+                sign, enc = _sign(*exact[0]), None
         tail = (enc, exact, spec, root, states[i], q_prev)
         records.append(VerificationRecord(n, p, q, sign, tail))
         q_prev = q
@@ -287,38 +284,6 @@ def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
     for r, n in tt:
         acc[r] = acc.get(r, 0) - gd * n
     return td * gc - gd * tc, [(r, n) for r, n in acc.items() if n]
-
-
-def _abs_enclosure(c: int, terms: list[tuple[int, int]], need: int) -> tuple[int, int, int]:
-    """(bits, lo, hi) with lo <= |v|*2^bits <= hi and lo >= 2^(need - 1) - m - 1
-    for a nonzero v = c + sum n*sqrt(r) of m terms; the radicands need not
-    be squarefree.
-
-    Every term is below 2^top and the largest at least 2^(top - 2), so a v
-    with no negative term is at least 2^(top - 2) and needs no ladder.
-    Otherwise the ladder tries bits = rel - top for rel = 64, 128, ...,
-    whose isqrt operands have about 2 rel bits, until an interval excludes
-    zero.  It ends by bits = :func:`exact._zero_bits`, where an interval
-    that holds zero would prove v = 0 (that bound holds for radicands with
-    square factors too), so it takes at most log2((top + zero bits)/64) + 1
-    rungs.  Then one interval at the bits the shorter endpoint lacks puts
-    |v| at 2^(need - 1) units or more, m + 1 units wide.
-    """
-    top = max([c.bit_length()] + [n.bit_length() + (r.bit_length() + 1) // 2 for r, n in terms])
-    if c >= 0 and all(n > 0 for _, n in terms):
-        bits = need - top + 1
-    else:
-        rel, cap = 64, None
-        while True:
-            lo, hi = _interval(c, terms, rel - top)
-            if lo > 0 or hi < 0:
-                break
-            cap = cap or _zero_bits(c, terms)
-            if rel - top >= cap:
-                raise ArithmeticError("an enclosed value is zero")
-            rel *= 2
-        bits = rel - top + need - min(abs(lo), abs(hi)).bit_length()
-    return (bits, *sorted(map(abs, _interval(c, terms, bits))))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ Criterion 7 requires that sign, and a matching verdict, at every k = 1
 depth it evaluates.
 """
 import json
+import os
 import random
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from math import isqrt
 import mpmath
 import pytest
 
+import cfbounds
 from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import alpha1, alpha2, closed_form_pq, convergents, error_identity, expand_surd
 from cfbounds.exact import QuadSurd, RadicalSum
@@ -280,11 +282,15 @@ CLI_MATRIX = [
 def test_criterion_10_cli_determinism():
     t0 = time.perf_counter()
     ok = True
+    # the child imports the package from the directory this process took it from
+    path = [os.path.dirname(os.path.dirname(cfbounds.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     for argv, want_code in CLI_MATRIX:
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "cfbounds", *argv],
                 capture_output=True,
+                env=env,
             )
             for _ in range(2)
         ]

@@ -332,7 +332,7 @@ _NEAR_EXTREMAL = [
 
 @pytest.mark.parametrize("x", _NEAR_EXTREMAL, ids=range(len(_NEAR_EXTREMAL)))
 def test_zero_bits_interval_excludes_near_extremal_values(x):
-    lo, hi = x.interval(x._zero_bits())
+    lo, hi = x.interval(exact._zero_bits(x._c, x._t))
     assert lo > 0 or hi < 0
     _check_against_oracle(x, False)
 
@@ -343,7 +343,7 @@ def test_zero_bits_interval_excludes_nonzero_values(c, terms):
     x, is_zero = _planted(c, terms)
     if x.is_rational or is_zero:
         return
-    lo, hi = x.interval(x._zero_bits())
+    lo, hi = x.interval(exact._zero_bits(x._c, x._t))
     assert lo > 0 or hi < 0
 
 
@@ -351,13 +351,13 @@ def test_sign_of_hidden_square_zero_needs_no_deep_interval(monkeypatch):
     n = 5 * 4010488**2 + 4  # 10007^2 * (n / 10007^2), left unsplit
     z = RadicalSum(0, [(1, n), (-10007, n // 10007**2)])
     seen = []
-    interval = RadicalSum.interval
+    interval = exact._interval
 
-    def recording(self, bits):
+    def recording(c, terms, bits):
         seen.append(bits)
-        return interval(self, bits)
+        return interval(c, terms, bits)
 
-    monkeypatch.setattr(RadicalSum, "interval", recording)
+    monkeypatch.setattr(exact, "_interval", recording)
     assert z.sign() == 0
     assert seen and max(seen) <= 128
 
@@ -470,6 +470,131 @@ def _hidden_square_zero() -> RadicalSum:
     """sqrt(n) - 10007*sqrt(n/10007^2): zero, with n = 5*4010488^2 + 4 left unsplit."""
     n = 5 * 4010488**2 + 4
     return RadicalSum(0, [(1, n), (-10007, n // 10007**2)])
+
+
+# R-lemma margins at depth 20, which cancel by up to 293 bits against their
+# largest term at k = 100
+_DEEP_R_MARGINS = [
+    verify.check_lemma(verify.LemmaInstance(f"R{i}", k, {"depth": 20}))[1]
+    for i in range(1, 6) for k in (3, 60, 100)
+]
+
+
+def _oracle_sign(c, terms):
+    """The sign of c + sum n*sqrt(r) read off one interval at the separation
+    bound, which excludes every nonzero value there."""
+    lo, hi = exact._interval(c, terms, exact._zero_bits(c, terms))
+    return 1 if lo > 0 else -1 if hi < 0 else 0
+
+
+def _check_enclose(x, is_zero):
+    # the numerator v = x*den, held in the integers _enclose takes
+    c, terms, m = x._c, x._t, len(x._t)
+    v, sign = x * x.den, _oracle_sign(c, terms)
+    assert (sign == 0) == is_zero
+    for need in (0, 1, 232, 400):
+        enc = exact._enclose(c, terms, need)
+        if is_zero:
+            assert enc is None
+            continue
+        assert enc[0] == sign
+        _, bits, lo, hi = enc
+        scaled = v * sign * Fraction(2) ** bits  # |v|*2^bits
+        assert (scaled - lo).sign() >= 0 and (hi - scaled).sign() >= 0
+        assert hi - lo <= m + 1
+        assert 2 * lo >= (1 << need) - 2 * (m + 1)  # lo >= 2^(need - 1) - m - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=7),
+    _planted_terms,
+    st.sampled_from(["any", "positive", "negative"]),
+)
+@example(Fraction(0), [(10007, 10007, 1), (-1, 10007, 10007)], "any")
+@example(Fraction(0), [(3, 2 * 10009, 10009), (2, 10, 1)], "positive")
+@example(Fraction(0), [(3, 10007, 10007), (1, 2, 10061)], "negative")
+def test_enclose_holds_the_value_to_the_bits_asked_for(c, terms, kind):
+    # "positive": c = 0 and every term positive; "negative": c and every
+    # term negative.  Both are one sign: one interval, whatever need is
+    if kind != "any":
+        s = 1 if kind == "positive" else -1
+        c = 0 if kind == "positive" else -abs(c)
+        terms = [(s * abs(coef), k, p) for coef, k, p in terms]
+    _check_enclose(*_planted(c, terms))
+
+
+@pytest.mark.parametrize(
+    "x, is_zero",
+    [(_hidden_square_zero(), True), (_hidden_square_zero() + Fraction(1, 3), False),
+     *((x, False) for x in _NEAR_EXTREMAL), *((x, False) for x in _DEEP_R_MARGINS)],
+)
+def test_enclose_holds_hidden_squares_near_extremal_values_and_deep_margins(x, is_zero):
+    _check_enclose(x, is_zero)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [RadicalSum(10**100, [(10**100, 2)]), RadicalSum(-(10**100), [(-(3**250), 7), (-1, 10**90 + 1)]),
+     RadicalSum(Fraction(10**120, 7), [(Fraction(5**200, 3), 11)])],
+)
+def test_decimal_of_a_sum_of_one_sign_above_its_digits(x):
+    # its one interval is taken at fewer than 0 bits
+    _check_against_oracle(x, False)
+
+
+def test_deep_r_margins_cancel_past_256_bits():
+    def cancelled(x):
+        _, bits, lo, _ = exact._enclose(x._c, x._t, 232)
+        return exact._top(x._c, x._t) - (lo.bit_length() - bits)
+
+    assert max(map(cancelled, _DEEP_R_MARGINS)) > 256
+
+
+def _enclose_counting(c, terms, need):
+    """_enclose(c, terms, need) and the number of intervals it took."""
+    calls = []
+    interval = exact._interval
+
+    def recording(*args):
+        calls.append(args)
+        return interval(*args)
+
+    exact._interval = recording
+    try:
+        return exact._enclose(c, terms, need), len(calls)
+    finally:
+        exact._interval = interval
+
+
+def _rung_bound(c, terms, need):
+    """The rungs 64*2^i from the first at or above need to the first at or
+    above the separation bound, plus one."""
+    bits, cap, rungs = 64, exact._zero_bits(c, terms), 1
+    while bits < need:
+        bits *= 2
+    while bits < cap:
+        bits, rungs = 2 * bits, rungs + 1
+    return rungs + 1
+
+
+@pytest.mark.parametrize("need", [0, 232])
+def test_ladder_stays_within_its_rung_bound(need):
+    # a zero ends on a rung, with no interval to top up its digits
+    for x in [*_NEAR_EXTREMAL, _hidden_square_zero()]:
+        enc, calls = _enclose_counting(x._c, x._t, need)
+        assert 1 <= calls <= _rung_bound(x._c, x._t, need) - (enc is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_terms, st.sampled_from([0, 232]))
+def test_ladder_stays_within_its_rung_bound_on_planted_zeros(terms, need):
+    # sum coef*sqrt(p^2*k) minus sum coef*p*sqrt(k): zero, with no term
+    # cancelling structurally when p > 10^4 stays hidden in the radicand
+    x, is_zero = _planted(0, terms + [(-coef * p, k, 1) for coef, k, p in terms])
+    assert is_zero
+    enc, calls = _enclose_counting(x._c, x._t, need)
+    assert enc is None and calls <= _rung_bound(x._c, x._t, need) - 1
 
 
 @pytest.mark.parametrize(
