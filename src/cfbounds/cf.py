@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import Iterator, Union
 
 from .exact import QuadSurd, RadicalSum
 
@@ -157,40 +157,36 @@ def _to_pqd(x: QuadSurd) -> tuple[int, int, int]:
 def expand_surd(x: QuadSurd) -> CFExpansion:
     """Canonical eventually periodic expansion of a quadratic irrational.
 
-    The (P, Q) recurrence runs from x itself, so digit 0 is a0.  A state
-    determines its tail, so the first state seen twice starts the minimal
-    period after the shortest head; x's own state is not recorded, because
-    a0 never starts the period (a purely periodic x repeats from x_1).
-    """
-    _, _, digits, start = _surd_states(x)
-    return CFExpansion(digits[0], tuple(digits[1:start]), tuple(digits[start:]))
-
-
-def _surd_states(x: QuadSurd) -> tuple[int, list[tuple[int, int]], list[int], int]:
-    """(D, states, digits, start) of the (P, Q) recurrence of an irrational x.
-
-    The complete quotient x_i = [a_i; a_{i+1}, ...] is (P_i + sqrt(D))/Q_i
-    with (P_i, Q_i) = states[i] and a_i = digits[i] for i < len(states);
-    later ones repeat the period, so x_i has the state of index
-    start + (i - start) % (len(states) - start).  Q_i divides D - P_i^2, and
-    Q_i > 0 once the state is reduced; a head state may have Q_i < 0.
+    Reads :func:`_surd_walk` from x itself, so digit 0 is a0, up to the
+    first state seen twice, which starts the minimal period after the
+    shortest head, as a state determines its tail.  x's own state is not
+    recorded: a0 never starts the period (a purely periodic x repeats from x_1).
     """
     if x.is_rational:
         raise ValueError("rational input: use expand_rational")
-    p, q, d = _to_pqd(x)
-    s = isqrt(d)
     seen: dict[tuple[int, int], int] = {}
-    states: list[tuple[int, int]] = []
     digits: list[int] = []
-    while True:
-        states.append((p, q))
-        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+    for i, (p, q, a) in enumerate(_surd_walk(*_to_pqd(x))):
+        if (p, q) in seen:
+            break
+        if i:
+            seen[p, q] = i
         digits.append(a)
+    start = seen[p, q]
+    return CFExpansion(digits[0], tuple(digits[1:start]), tuple(digits[start:]))
+
+
+def _surd_walk(p: int, q: int, d: int) -> Iterator[tuple[int, int, int]]:
+    """(P_i, Q_i, a_i) for i = 0, 1, ..., without end: the complete quotient
+    x_i = [a_i; a_{i+1}, ...] = (P_i + sqrt(d))/Q_i of an irrational x_0 =
+    (p + sqrt(d))/q with q | d - p^2.  Q_i divides d - P_i^2, and Q_i > 0
+    once the state is reduced; a head state may have Q_i < 0."""
+    s = isqrt(d)
+    while True:
+        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+        yield p, q, a
         p = a * q - p
         q = (d - p * p) // q
-        if (p, q) in seen:
-            return d, states, digits, seen[p, q]
-        seen[p, q] = len(states)
 
 
 def convergents(cf: CFExpansion, n: int) -> list[Convergent]:

@@ -24,14 +24,16 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec, Outcome
-from .cf import CFExpansion, IdentityMismatch, convergents
+from .cf import IdentityMismatch, convergents, expand_rational
 from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, render
 from .verify import (
     LEMMA_IDS,
     _LEMMA_MIN_K,
     _WINDOW_RULES,
+    _value,
     LemmaInstance,
     check_lemma,
     classify_equality,
@@ -71,16 +73,17 @@ def _coerced(spec: NumberSpec):
 
 
 def _exact_input(spec: NumberSpec, command: str):
-    """(value, cf) of a spec that a theorem claim may use; dec: is refused."""
+    """Exact value of a spec that a theorem claim may use, not expanded;
+    dec: is refused."""
     if not spec.is_exact:
         raise SpecParseError(f"dec: inputs carry finite precision; {command} needs an exact value")
-    return coerce_number(spec.parsed)
+    return _value(spec.parsed)
 
 
-def _applicable(cf: CFExpansion, bound: str, k) -> bool:
+def _applicable(value, bound: str, k) -> bool:
     """The theorem's hypothesis: x irrational, and for the bounds that take k,
     infinitely many partial quotients >= k."""
-    return not cf.is_finite and (bound not in _NEEDS_K or nathanson_applicable(cf, k))
+    return not isinstance(value, Fraction) and (bound not in _NEEDS_K or nathanson_applicable(value, k))
 
 
 def _detail_rows(base: dict, records) -> list[dict]:
@@ -122,19 +125,19 @@ def _cmd_convergents(args) -> tuple[list[dict], bool]:
 
 def _cmd_verify(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    value, cf = _exact_input(spec, "verify")
-    records = verify_bound_scan((value, cf), BoundSpec(args.bound, args.k), args.n)
+    value = _exact_input(spec, "verify")
+    records = verify_bound_scan(value, BoundSpec(args.bound, args.k), args.n)
     base = {"input": render(spec), "command": "verify", "bound": args.bound, "k": args.k}
-    ok = not _applicable(cf, args.bound, args.k) or any(r.margin_sign <= 0 for r in records)
+    ok = not _applicable(value, args.bound, args.k) or any(r.margin_sign <= 0 for r in records)
     return _detail_rows(base, records), ok
 
 
 def _cmd_classify(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    value, cf = _exact_input(spec, "classify-equality")
-    if cf.is_finite:
+    value = _exact_input(spec, "classify-equality")
+    if isinstance(value, Fraction):
         raise SpecParseError("classify-equality needs an irrational input")
-    records = verify_bound_scan((value, cf), BoundSpec("refined_f", args.k), args.n)
+    records = verify_bound_scan(value, BoundSpec("refined_f", args.k), args.n)
     base = {"input": render(spec), "command": "classify-equality", "k": args.k}
     rows = _detail_rows(base, records)
     rows.append({
@@ -177,10 +180,10 @@ def _cmd_lemmas(args) -> tuple[list[dict], bool]:
 
 def _cmd_classical(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    value, cf = _exact_input(spec, "classical")
-    if cf.is_finite:
+    value = _exact_input(spec, "classical")
+    if isinstance(value, Fraction):
         raise SpecParseError("classical window rules need an irrational input")
-    holds = classical_window_check((value, cf), args.rule, args.n)
+    holds = classical_window_check(value, args.rule, args.n)
     row = {
         "input": render(spec), "command": "classical",
         "rule": args.rule, "n": args.n, "holds": holds,
@@ -202,10 +205,10 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
         if not text:
             continue
         spec = parse_number(text)
-        value, cf = _exact_input(spec, "report")
-        depth = min(args.n, len(cf) - 1) if cf.is_finite else args.n
-        records = verify_bound_scan((value, cf), bspec, depth)
-        applicable = _applicable(cf, args.bound, args.k)
+        value = _exact_input(spec, "report")
+        depth = min(args.n, len(expand_rational(value)) - 1) if isinstance(value, Fraction) else args.n
+        records = verify_bound_scan(value, bspec, depth)
+        applicable = _applicable(value, args.bound, args.k)
         counts = {o: 0 for o in Outcome}
         for r in records:
             counts[r.outcome] += 1

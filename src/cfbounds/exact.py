@@ -474,18 +474,13 @@ class RadicalSum:
         """
         if significant < 1:
             raise ValueError("significant must be >= 1")
-        if not self._t:
-            if not self._c:
-                return "0"
-            sign, bits, lo, hi = _sgn(self._c), 0, abs(self._c), abs(self._c)
-        else:
-            need = (10**significant).bit_length() + len(self._t).bit_length() + 64
-            enc = _enclose(self._c, self._t, need)
-            if enc is None:
-                return "0"
-            sign, bits, lo, hi = enc
-            if bits < 0:  # a sum of one sign above 2^need
-                lo, hi, bits = lo << -bits, hi << -bits, 0
+        need = (10**significant).bit_length() + len(self._t).bit_length() + 64
+        enc = _enclose(self._c, self._t, need)
+        if enc is None:
+            return "0"
+        sign, bits, lo, hi = enc
+        if bits < 0:  # a sum of one sign above 2^need
+            lo, hi, bits = lo << -bits, hi << -bits, 0
         neg = sign < 0
         e, a, b = _round_pair(lo, hi, self.den << bits, significant)
         if b != a:

@@ -8,9 +8,8 @@ used in the proof of the refined bound as exact sign checks.
 A scan decides each row's sign in tail form, as the sign of g(q_n) - T_n
 with T_n = alpha_{n+1} + q_{n-1}/q_n, and builds no margin
 |x - p_n/q_n| - 1/f(q_n).  A filter at a fixed precision of _B bits decides
-it from integers whose size does not grow with q_n: the periodic (P, Q)
-state of alpha_{n+1}, the top bits of q_{n-1} and q_n, and an enclosure of
-g.  Rows it cannot decide, the equality phases where g - T_n is O(1/q_n^2),
+it from integers whose size does not grow with q_n: the (P, Q) state of
+alpha_{n+1}, the top bits of q_{n-1} and q_n, and an enclosure of g.  Rows it cannot decide, the equality phases where g - T_n is O(1/q_n^2),
 take an exact path (see :func:`verify_bound_scan`).  A row's digits come
 from the same enclosures, or from the exact path's (see
 :meth:`VerificationRecord.margin_decimal`).
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd, isqrt
 from typing import Optional, Union
 
@@ -28,12 +28,12 @@ from .cf import (
     alpha1,
     alpha2,
     cf_value,
-    convergents,
     expand_rational,
     expand_surd,
     _purely_periodic_value,
     _rational_states,
-    _surd_states,
+    _surd_walk,
+    _to_pqd,
 )
 from .exact import MixedFieldError, QuadSurd, RadicalSum, square_free_split
 from .exact import _enclose, _quotient_decimal, _radical, _sign
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 Exact = Union[Fraction, QuadSurd]
-# the last form is the (value, cf) pair that coerce_number returns
-NumberInput = Union[int, Fraction, QuadSurd, CFExpansion, tuple[Exact, CFExpansion]]
+NumberInput = Union[int, Fraction, QuadSurd, CFExpansion]
 
 
 # (c, [(r, n), ...], den) stands for (c + sum n*sqrt(r))/den with den > 0
@@ -151,38 +150,41 @@ class VerificationRecord:
         return _quotient_decimal(sign < 0, lo, hi, bw - bg - bt, significant, side)
 
 
+def _value(x: NumberInput) -> Exact:
+    """Exact value of x, a Fraction or an irrational QuadSurd, not expanded."""
+    if isinstance(x, CFExpansion):
+        x = cf_value(x)
+    if isinstance(x, QuadSurd):
+        return x.as_fraction() if x.is_rational else x
+    return Fraction(x)
+
+
 def coerce_number(x: NumberInput) -> tuple[Exact, CFExpansion]:
-    """Exact value and canonical expansion for any accepted input form; a
-    ``(value, cf)`` pair that it returned is passed through."""
-    if isinstance(x, tuple):
-        return x
+    """Exact value and canonical expansion of any accepted input form; an
+    expansion is kept as given."""
     if isinstance(x, CFExpansion):
         return cf_value(x), x
-    if isinstance(x, QuadSurd):
-        if x.is_rational:
-            f = x.as_fraction()
-            return f, expand_rational(f)
-        return x, expand_surd(x)
-    f = Fraction(x)
-    return f, expand_rational(f)
+    value = _value(x)
+    return value, expand_rational(value) if isinstance(value, Fraction) else expand_surd(value)
 
 
 def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[VerificationRecord]:
     """Exact outcome of |x - p_n/q_n| against the bound for n = 0..n_max.
 
-    A caller that holds the ``(value, cf)`` pair passes it, so x is not
-    expanded again.  The threshold is 1/(q^2 g(q)) (:func:`bound_g`), and
-    |x - p/q| = 1/(q^2 T) with T = alpha_{n+1} + q_{n-1}/q_n, the tail of
+    The threshold is 1/(q^2 g(q)) (:func:`bound_g`), and |x - p/q| =
+    1/(q^2 T) with T = alpha_{n+1} + q_{n-1}/q_n, the tail of
     :func:`cf.error_identity`; so the margin (g - T)/(q^2 g T) has the sign
-    of g - T, which is O(1).  Each sign is decided from integers whose size
-    does not grow with q, a filter at _B bits with an exact fallback:
+    of g - T, which is O(1).  x is not expanded: row n takes a_n, and so
+    p_n and q_n, from state n of :func:`cf._surd_walk` from x, and
+    alpha_{n+1} = (P + sqrt(D))/Q from state n + 1, so the scan reads
+    n_max + 2 states whatever x's period; a rational's states are its
+    Euclid remainders, alpha = P/Q.  Each sign is decided from integers
+    whose size does not grow with q, a filter at _B bits with an exact
+    fallback:
 
-    * alpha_{n+1} = (P + sqrt(D))/Q comes from the (P, Q) state of the
-      recurrence that expands x (:func:`cf._surd_states`), periodic past
-      the head; a rational's states are its Euclid remainders, alpha = P/Q.
-      sqrt(D)*2^_B is enclosed once by isqrt, within one unit, and each
-      state's alpha*2^_B once, within 2 units, by a floor and a ceiling
-      division.
+    * sqrt(D)*2^_B is enclosed once by isqrt, within one unit, and each
+      row's alpha_{n+1}*2^_B, within 2 units, by a floor and a ceiling
+      division (:func:`_alpha_enclosure`).
     * q_{n-1}/q_n*2^_B comes from the top bits of both: with s = bitlen(q) -
       _B - 2 > 0, qt = q >> s and pt = q_{n-1} >> s, the ratio lies in
       [pt/(qt + 1), (pt + 1)/qt], an interval of width at most 2/qt
@@ -198,53 +200,54 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     :func:`exact._sign`: one comparison when it has at most one radical (the
     equality rows, where it has at most one), else the sign that the ladder
     of :func:`exact._enclose` finds, or proves zero.  A rational's last
-    convergent, with error 0, has the margin -1/(q^2 g).
+    convergent, with error 0 and state Q = 0 after it, has the margin
+    -1/(q^2 g); a rational scanned past it raises ValueError.
     """
-    value, cf = coerce_number(x)
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    value = _value(x)
     if isinstance(value, Fraction):
+        states = _rational_states(value)
+        if n_max >= len(states):
+            raise ValueError(f"expansion has only {len(states)} digits")
         root, sd = None, 0
-        states = _rational_states(value) + [(1, 0)]  # past the last convergent T is infinite
-        start = period = len(states)
+        walk = [(p, q, p // q) for p, q in states] + [(1, 0, 0)]  # T is infinite past the end
     else:
-        d, states, _, start = _surd_states(value)
+        p, q, d = _to_pqd(value)
         root, sd = square_free_split(d), isqrt(d << 2 * _B)
-        period = len(states) - start
-    alphas = [_alpha_enclosure(p, q, sd) for p, q in states]
+        walk = _surd_walk(p, q, d)
     g_of = g_enclosure(spec, _B)
     records = []
-    q_prev = 0
-    for conv in convergents(cf, n_max):
-        n, p, q = conv.n, conv.p, conv.q
-        i = n + 1 if n + 1 < len(states) else start + (n + 1 - start) % period
+    p, p_prev, q, q_prev = 1, 0, 0, 1  # p_{-1}, p_{-2}, q_{-1}, q_{-2}
+    for n, ((_, _, a), (ap, aq, _)) in zip(range(n_max + 1), pairwise(walk)):
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
         gl, gh = g_of(q)
         exact = None
-        if not states[i][1]:  # x = p/q: the error is 0 and the threshold positive
+        if not aq:  # x = p/q: the error is 0 and the threshold positive
             sign, enc = -1, (1, 1, gl, gh, 1, 1)
         else:
             s = max(0, q.bit_length() - _B - 2)
             qt, pt = q >> s, q_prev >> s
             rl, rh = (pt << _B) // (qt + (s > 0)), ((pt + (s > 0)) << _B) // qt + 1
-            al, ah = alphas[i]
+            al, ah = _alpha_enclosure(ap, aq, sd)
             tl, th = al + rl, ah + rh
             if gl > th:
                 sign, enc = 1, (gl - th, gh - tl, gl, gh, tl, th)
             elif gh < tl:
                 sign, enc = -1, (tl - gh, th - gl, gl, gh, tl, th)
             else:
-                exact = _exact_tail(q, spec, root, states[i], q_prev)
+                exact = _exact_tail(q, spec, root, (ap, aq), q_prev)
                 sign, enc = _sign(*exact[0]), None
-        tail = (enc, exact, spec, root, states[i], q_prev)
+        tail = (enc, exact, spec, root, (ap, aq), q_prev)
         records.append(VerificationRecord(n, p, q, sign, tail))
-        q_prev = q
     return records
 
 
-def _alpha_enclosure(p: int, q: int, sd: int) -> tuple[int, int] | None:
+def _alpha_enclosure(p: int, q: int, sd: int) -> tuple[int, int]:
     """Integers lo <= (p + sqrt(D))/q * 2^_B <= hi, for q != 0 and
     sd = isqrt(D * 4^_B), so that p 2^_B + sqrt(D) 2^_B lies in [m, m + 1)
-    for m = p 2^_B + sd; None for q = 0."""
-    if not q:
-        return None
+    for m = p 2^_B + sd."""
     m = (p << _B) + sd
     if q > 0:
         return m // q, -(-(m + 1) // q)
@@ -323,17 +326,17 @@ def equivalent(x: NumberInput, y: NumberInput) -> bool:
 def nathanson_applicable(x: NumberInput, k: int) -> bool:
     """True iff infinitely many partial quotients of x are >= k.
 
-    For k = 1 every irrational qualifies; for eventually periodic x this
-    is "some period element >= k", equivalently x is not equivalent to an
-    element of F(k-1).
+    For k = 1 every irrational qualifies, with no expansion; for eventually
+    periodic x this is "some period element >= k", equivalently x is not
+    equivalent to an element of F(k-1).  A rational x raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k == 1 and not isinstance(_value(x), Fraction):
+        return True
     period = _period_of(x)
     if period is None:
         raise ValueError("x must be irrational")
-    if k == 1:
-        return True
     return any(a >= k for a in period)
 
 
@@ -538,10 +541,10 @@ def classical_window_check(x: NumberInput, rule: str, n_max: int) -> bool:
     spec, width = _WINDOW_RULES[rule]
     if n_max < width - 1:
         raise ValueError(f"{rule} needs n_max >= {width - 1} to check one window")
-    value, cf = coerce_number(x)
-    if cf.is_finite:
+    value = _value(x)
+    if isinstance(value, Fraction):
         raise ValueError("rule requires an irrational input")
-    hits = [r.margin_sign < 0 for r in verify_bound_scan((value, cf), spec, n_max)]
+    hits = [r.margin_sign < 0 for r in verify_bound_scan(value, spec, n_max)]
     return all(
         any(hits[i : i + width]) for i in range(0, n_max - width + 2)
     )

@@ -262,11 +262,44 @@ def test_report_builds_no_margin(tmp_path, monkeypatch):
     assert counts == {}
 
 
-def test_classical_expands_its_input_once(monkeypatch):
+def test_scanning_commands_expand_nothing_but_the_k_applicability_check(tmp_path, monkeypatch):
+    # a scan reads x's states only up to its depth; only nathanson and
+    # refined_f at k >= 2 expand x, to look for a period quotient >= k
+    spec = "surd:(1+1*sqrt(5))/2"
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(spec + "\nrat:355/113\n")
     counts = {}
     _counting(monkeypatch, verify, "expand_surd", counts)
-    code, _ = run_cli(["classical", "surd:(1+1*sqrt(5))/2", "--rule", "borel_triples", "--n", "10"])
+    for argv in (["classical", spec, "--rule", "borel_triples", "--n", "10"],
+                 ["classify-equality", spec, "--k", "2", "--n", "10"],
+                 ["verify", spec, "--bound", "refined_f", "--k", "1", "--n", "10"],
+                 ["report", "--corpus", str(corpus), "--bound", "refined_f", "--k", "1", "--n", "10"]):
+        code, _ = run_cli(argv)
+        assert code == 0 and counts == {}, argv
+    code, _ = run_cli(["verify", spec, "--bound", "refined_f", "--k", "2", "--n", "10"])
     assert code == 0 and counts == {"expand_surd": 1}
+
+
+# sqrt(100000000000031) has a period of 6,300,568 states
+_LONG_PERIOD = "surd:(0+1*sqrt(100000000000031))/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", _LONG_PERIOD, "--bound", "hurwitz"],
+    ["verify", _LONG_PERIOD, "--bound", "refined_f", "--k", "1"],
+    ["classify-equality", _LONG_PERIOD, "--k", "2"],
+    ["classical", _LONG_PERIOD, "--rule", "borel_triples"],
+    ["report", "--bound", "hancl_nair"],
+])
+def test_scans_of_a_long_period_read_only_their_depth(tmp_path, argv):
+    if argv[0] == "report":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(_LONG_PERIOD + "\n")
+        argv = [*argv, "--corpus", str(corpus)]
+    code, out = run_cli([*argv, "--n", "20"])
+    assert code == 0 and out
+    if argv[0] in ("verify", "classify-equality"):
+        assert [json.loads(line)["n"] for line in out.splitlines()[:21]] == list(range(21))
 
 
 @pytest.mark.parametrize("k, code", [(3, 1), (4, 0)])

@@ -677,6 +677,9 @@ def _decimal_cases(draw):
 @example((1, Fraction(1, 4)))
 @example((1, Fraction(19, 2)))  # 9.5 -> 1e+01
 @example((3, Fraction(-9995, 1000)))
+@example((1, Fraction(25, 10)))  # a tie: 2.5 -> 2e+00
+@example((2, Fraction(125 * 10**398)))  # a tie with its numerator far above 2^need -> 1.2e+400
+@example((17, Fraction(10**400 + 7, 3)))
 def test_decimal_rounds_half_to_even(case):
     significant, x = case
     expected = _fraction_decimal(x, significant)

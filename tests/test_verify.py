@@ -1,12 +1,14 @@
 """Unit tests for the theorem-verification harness."""
 import random
 from fractions import Fraction
+from itertools import islice
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbounds import exact, verify
+from cfbounds import cf, exact, verify
 from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
 from cfbounds.cf import _error_term, _purely_periodic_value
@@ -90,6 +92,11 @@ _CONSTANT_G = verify._B // 2 + 1
 _NEGATIVE_Q = [QuadSurd.make(-4, 1, 7, 2), QuadSurd.make(-5, 1, 7, 3)]
 
 
+def _states(x, count: int) -> list[tuple[int, int, int]]:
+    """The first ``count`` states (P, Q, a) of the walk from an irrational x."""
+    return list(islice(cf._surd_walk(*cf._to_pqd(x)), count))
+
+
 def _depth_past_constant_g(x) -> int:
     """A depth whose last rows have q > 2^(_B/2 + 1), with 20 rows to spare."""
     records = verify_bound_scan(x, BoundSpec("dirichlet"), 2000)
@@ -99,7 +106,7 @@ def _depth_past_constant_g(x) -> int:
 def test_tail_signs_equal_direct_signs_on_random_surds():
     rng = random.Random(2024)
     xs = [make_random_surd(rng, dmax=300) for _ in range(40)]
-    assert all(verify._surd_states(x)[1][1][1] < 0 for x in _NEGATIVE_Q)
+    assert all(_states(x, 2)[1][1] < 0 for x in _NEGATIVE_Q)
     for i, x in enumerate(xs + _NEGATIVE_Q):
         # every eighth surd, and those with Q < 0, reach the constant-g rows
         depth = _depth_past_constant_g(x) if i % 8 == 0 or i >= len(xs) else 60
@@ -158,7 +165,7 @@ def test_rows_the_filter_leaves_undecided_take_the_exact_path(monkeypatch):
     # to the exact enclosures of W, G and T
     signs = []
     sign = RadicalSum.sign
-    monkeypatch.setattr(verify, "_alpha_enclosure", lambda p, q, sd: q and (-(1 << 900), 1 << 900) or None)
+    monkeypatch.setattr(verify, "_alpha_enclosure", lambda p, q, sd: (-(1 << 900), 1 << 900))
     monkeypatch.setattr(RadicalSum, "sign", lambda self: signs.append(1) or sign(self))
     cases = [(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), 40), (GOLDEN, BoundSpec("hancl_nair"), 30),
              (_NEGATIVE_Q[0], BoundSpec("hurwitz"), 30), (Fraction(355, 113), BoundSpec("vahlen"), 2)]
@@ -254,17 +261,79 @@ def test_margin_decimal_defers_adjacent_ends_to_the_canonical_decimal(monkeypatc
     assert calls == {"decimal": 0, "sign": 2 * len(records)}
 
 
-def test_scan_takes_the_value_cf_pair(monkeypatch):
-    x = QuadSurd.make(3, 2, 5, 7)
-    pair = (x, expand_surd(x))
-    expected = verify_bound_scan(x, BoundSpec("hancl_nair"), 20)
+def _counting_walks(monkeypatch) -> list[int]:
+    """Patch the scan's walk to record how many states each walk yields."""
+    counts = []
+    walk = verify._surd_walk
 
-    def no_expansion(*args):
-        raise AssertionError("expanded again")
+    def counting(*args):
+        counts.append(0)
+        for state in walk(*args):
+            counts[-1] += 1
+            yield state
 
-    monkeypatch.setattr(verify, "expand_surd", no_expansion)
-    assert verify_bound_scan(pair, BoundSpec("hancl_nair"), 20) == expected
-    assert classical_window_check(pair, "hancl_nair_triples", 20)
+    monkeypatch.setattr(verify, "_surd_walk", counting)
+    return counts
+
+
+# sqrt(100000000000031) has a period of 6,300,568 states
+_LONG_PERIOD = QuadSurd.make(0, 1, 1, 100000000000031)
+
+
+@pytest.mark.parametrize("x", [*_NEGATIVE_Q, GOLDEN, alpha1(3), _LONG_PERIOD])
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+def test_scan_reads_n_plus_two_states_and_expands_nothing(monkeypatch, x, n):
+    # rows 0..n need the states of x_0..x_{n+1}, whatever x's period
+    expected = [(r.n, r.p, r.q, r.margin_sign) for r in verify_bound_scan(x, BoundSpec("hurwitz"), n)]
+    counts = _counting_walks(monkeypatch)
+    monkeypatch.delattr(verify, "expand_surd")  # the scan has no expansion to call
+    records = verify_bound_scan(x, BoundSpec("hurwitz"), n)
+    assert counts == [n + 2]
+    assert [(r.n, r.p, r.q, r.margin_sign) for r in records] == expected
+    # each row's alpha_{n+1} is the walk's state n + 1
+    assert [r._tail[4] for r in records] == [(p, q) for p, q, _ in _states(x, n + 2)[1:]]
+
+
+def test_scan_digits_and_convergents_are_the_expansions():
+    # the walk's digits are expand_surd's, on Q < 0 heads and on the purely
+    # periodic golden ratio, whose x_1 has x_0's state again
+    assert _states(GOLDEN, 2)[0] == _states(GOLDEN, 2)[1]
+    for x in [*_NEGATIVE_Q, GOLDEN, alpha1(3), alpha2(3) - 2]:
+        expansion = expand_surd(x)
+        assert [a for _, _, a in _states(x, 30)] == expansion.digits(30)
+        records = verify_bound_scan(x, BoundSpec("dirichlet"), 28)
+        assert [(r.p, r.q) for r in records] == [(c.p, c.q) for c in convergents(expansion, 28)]
+
+
+def test_long_period_scans_equal_direct_margins():
+    # the scan reads 22 of the 6,300,568 states; its convergents are those
+    # of sqrt(N) from 300-digit floats, and its signs and digits those of
+    # the margin built directly
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    pqs = []
+    with mpmath.workdps(300):
+        t = mpmath.sqrt(100000000000031)
+        for _ in range(21):
+            a = int(mpmath.floor(t))
+            t = 1 / (t - a)
+            p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+            pqs.append((p, q))
+    for spec in (BoundSpec("hurwitz"), BoundSpec("refined_f", 1), BoundSpec("refined_f", 2),
+                 BoundSpec("borel"), BoundSpec("hancl_nair")):
+        records = _tail_equals_direct(_LONG_PERIOD, spec, 20)
+        assert [(r.p, r.q) for r in records] == pqs
+
+
+def test_nathanson_applicable_expands_only_for_k_above_one(monkeypatch):
+    calls = []
+    expand = verify.expand_surd
+    monkeypatch.setattr(verify, "expand_surd", lambda x: calls.append(x) or expand(x))
+    assert nathanson_applicable(_LONG_PERIOD, 1) and nathanson_applicable(alpha1(3), 1)
+    assert calls == []
+    assert nathanson_applicable(alpha1(3), 2) and len(calls) == 1
+    for k in (1, 2):
+        with pytest.raises(ValueError):
+            nathanson_applicable(Fraction(1, 2), k)
 
 
 # ---------------------------------------------------------------------------
