@@ -2,7 +2,7 @@
 
 Expansion of rationals (Euclidean loop) and quadratic surds (period
 detection on the reduced (P, Q) state), convergents by the standard
-recurrences, exact tail values, the error identity
+recurrences over the same states, exact tail values, the error identity
 
     |x - p_n/q_n| = 1 / (q_n^2 * ([a_{n+1}; a_{n+2}, ...] + [0; a_n, ..., a_1]))
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import isqrt
 from typing import Iterator, Union
 
@@ -116,23 +117,24 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
+NumberInput = Union[int, Fraction, QuadSurd, CFExpansion]
+
+
 def expand_rational(x: Union[Fraction, int]) -> CFExpansion:
     """Finite expansion of a rational; last digit != 1 when length >= 2."""
-    return _finite([num // den for num, den in _rational_states(Fraction(x))])
+    return _finite([a for _, _, a in _rational_walk(Fraction(x))])
 
 
-def _rational_states(f: Fraction) -> list[tuple[int, int]]:
-    """The Euclid remainders of f as states (r_{i-1}, r_i), one for each
-    complete quotient x_i = r_{i-1}/r_i, i = 0..m, of the expansion f =
-    [a_0; a_1, ..., a_m]: r_{-1}, r_0 = numerator, denominator, and r_{m+1} = 0.
-    Every remainder after r_{-1} is positive, and the last digit is >= 2 when
-    m >= 1, so the expansion is canonical."""
+def _rational_walk(f: Fraction) -> Iterator[tuple[int, int, int]]:
+    """(r_{i-1}, r_i, a_i) for i = 0..m: the Euclid remainders of f =
+    [a_0; a_1, ..., a_m] as the states of its complete quotients x_i =
+    r_{i-1}/r_i, from r_{-1}, r_0 = numerator, denominator to r_{m+1} = 0.
+    The last digit is >= 2 when m >= 1, so the expansion is canonical."""
     num, den = f.numerator, f.denominator
-    states = []
     while den:
-        states.append((num, den))
-        num, den = den, num - num // den * den
-    return states
+        a = num // den
+        yield num, den, a
+        num, den = den, num - a * den
 
 
 def _finite(digits: list[int]) -> CFExpansion:
@@ -155,25 +157,15 @@ def _to_pqd(x: QuadSurd) -> tuple[int, int, int]:
 
 
 def expand_surd(x: QuadSurd) -> CFExpansion:
-    """Canonical eventually periodic expansion of a quadratic irrational.
-
-    Reads :func:`_surd_walk` from x itself, so digit 0 is a0, up to the
-    first state seen twice, which starts the minimal period after the
-    shortest head, as a state determines its tail.  x's own state is not
-    recorded: a0 never starts the period (a purely periodic x repeats from x_1).
-    """
+    """Canonical eventually periodic expansion of a quadratic irrational:
+    the digits of :func:`_period_walk`, split into the shortest head and
+    the minimal period.  It keeps no state but reads the whole period."""
     if x.is_rational:
         raise ValueError("rational input: use expand_rational")
-    seen: dict[tuple[int, int], int] = {}
-    digits: list[int] = []
-    for i, (p, q, a) in enumerate(_surd_walk(*_to_pqd(x))):
-        if (p, q) in seen:
-            break
-        if i:
-            seen[p, q] = i
-        digits.append(a)
-    start = seen[p, q]
-    return CFExpansion(digits[0], tuple(digits[1:start]), tuple(digits[start:]))
+    head, period = [], []
+    for a, periodic in _period_walk(x):
+        (period if periodic else head).append(a)
+    return CFExpansion(head[0], tuple(head[1:]), tuple(period))
 
 
 def _surd_walk(p: int, q: int, d: int) -> Iterator[tuple[int, int, int]]:
@@ -189,19 +181,57 @@ def _surd_walk(p: int, q: int, d: int) -> Iterator[tuple[int, int, int]]:
         q = (d - p * p) // q
 
 
-def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
-    """Convergents 0..n (inclusive) by the standard recurrences."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if cf.is_finite and n >= len(cf):
-        raise ValueError(f"expansion has only {len(cf)} digits")
-    out = []
+def _period_walk(x: Union[Fraction, QuadSurd]) -> Iterator[tuple[int, bool]]:
+    """(a_i, in_period) for x's digits to the end of its first minimal period
+    (a rational's digits, none in a period).  By Galois' theorem x_i =
+    (P + sqrt(D))/Q, i >= 1, is purely periodic iff reduced; as x_i > 1,
+    iff -1 < (P - sqrt(D))/Q < 0, i.e. P <= s < P + Q for s = isqrt(D).  The
+    period starts at the first such x_i and ends when its state comes back."""
+    if isinstance(x, Fraction):
+        yield from ((a, False) for _, _, a in _rational_walk(x))
+        return
+    p, q, d = _to_pqd(x)
+    s, start = isqrt(d), None
+    for i, (p, q, a) in enumerate(_surd_walk(p, q, d)):
+        if start is None:
+            if i and p <= s < p + q:
+                start = p, q
+        elif start == (p, q):
+            return
+        yield a, start is not None
+
+
+def _value(x: NumberInput) -> Union[Fraction, QuadSurd]:
+    """Exact value of x, a Fraction or an irrational QuadSurd, not expanded."""
+    if isinstance(x, CFExpansion):
+        x = cf_value(x)
+    if isinstance(x, QuadSurd):
+        return x.as_fraction() if x.is_rational else x
+    return Fraction(x)
+
+
+def _convergent_walk(x: Union[Fraction, QuadSurd]) -> Iterator[tuple[int, int, int, int, int]]:
+    """(p_n, q_n, q_{n-1}, P, Q) for n = 0, 1, ...: the convergents of an
+    exact x by the standard recurrences over the states of :func:`_surd_walk`,
+    and the state of x_{n+1} = (P + sqrt(D))/Q, so row n reads n + 2 states.
+    A rational's states are its Euclid remainders, x_{n+1} = P/Q, with (1, 0)
+    past its last digit; asking for a further row raises ValueError."""
+    walk = [*_rational_walk(x), (1, 0, 0)] if isinstance(x, Fraction) else _surd_walk(*_to_pqd(x))
     p, p_prev, q, q_prev = 1, 0, 0, 1  # p_{-1}, p_{-2}, q_{-1}, q_{-2}
-    for i, a in enumerate(cf.digits(n + 1)):
+    for (_, _, a), (ap, aq, _) in pairwise(walk):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        out.append(Convergent(i, p, q))
-    return out
+        yield p, q, q_prev, ap, aq
+    raise ValueError(f"expansion has only {len(walk) - 1} digits")
+
+
+def convergents(x: NumberInput, n: int) -> list[Convergent]:
+    """Convergents 0..n (inclusive) of an expansion or an exact value, read
+    from :func:`_convergent_walk`, so x is not expanded; a rational with at
+    most n digits raises ValueError."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return [Convergent(i, p, q) for i, (p, q, *_) in zip(range(n + 1), _convergent_walk(_value(x)))]
 
 
 def _purely_periodic_value(digits: tuple[int, ...]) -> QuadSurd:

@@ -27,13 +27,12 @@ import sys
 from fractions import Fraction
 
 from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec, Outcome
-from .cf import IdentityMismatch, convergents, expand_rational
+from .cf import IdentityMismatch, _value, convergents, expand_rational
 from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, render
 from .verify import (
     LEMMA_IDS,
     _LEMMA_MIN_K,
     _WINDOW_RULES,
-    _value,
     LemmaInstance,
     check_lemma,
     classify_equality,
@@ -65,11 +64,10 @@ _FIELDS = {
 }
 
 
-def _coerced(spec: NumberSpec):
+def _parsed_value(spec: NumberSpec):
+    """A spec's parsed value, a dec: prefix taken as the rational it shows."""
     v = spec.parsed
-    if isinstance(v, DecPrefix):
-        v = v.value
-    return coerce_number(v)
+    return v.value if isinstance(v, DecPrefix) else v
 
 
 def _exact_input(spec: NumberSpec, command: str):
@@ -103,7 +101,7 @@ def _detail_rows(base: dict, records) -> list[dict]:
 
 def _cmd_expand(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    value, cf = _coerced(spec)
+    value, cf = coerce_number(_parsed_value(spec))
     row = {
         "input": render(spec),
         "command": "expand",
@@ -115,10 +113,9 @@ def _cmd_expand(args) -> tuple[list[dict], bool]:
 
 def _cmd_convergents(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    _, cf = _coerced(spec)
     rows = [
         {"input": render(spec), "command": "convergents", "n": c.n, "p": c.p, "q": c.q}
-        for c in convergents(cf, args.n)
+        for c in convergents(_parsed_value(spec), args.n)
     ]
     return rows, True
 

@@ -34,10 +34,17 @@ class SpecParseError(ValueError):
 
 @dataclass(frozen=True)
 class DecPrefix:
-    """Decimal prefix: value known only to ``places`` decimal places."""
+    """Decimal prefix: value known only to ``places`` decimal places.  The
+    value must have a finite decimal expansion, else ValueError."""
 
     value: Fraction
     places: int
+
+    def __post_init__(self):
+        # den divides 10^m, m >= log2(den), iff 2 and 5 are its only primes
+        den = self.value.denominator
+        if 10 ** den.bit_length() % den:
+            raise ValueError(f"{self.value} has no finite decimal expansion")
 
 
 ParsedValue = Union[Fraction, QuadSurd, CFExpansion, DecPrefix]

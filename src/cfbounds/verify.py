@@ -18,22 +18,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Union
 
 from .bounds import BoundSpec, Outcome, bound_g, g_enclosure
 from .cf import (
     CFExpansion,
+    NumberInput,
     alpha1,
     alpha2,
     cf_value,
     expand_rational,
     expand_surd,
+    _convergent_walk,
+    _period_walk,
     _purely_periodic_value,
-    _rational_states,
-    _surd_walk,
     _to_pqd,
+    _value,
 )
 from .exact import MixedFieldError, QuadSurd, RadicalSum, square_free_split
 from .exact import _enclose, _quotient_decimal, _radical, _sign
@@ -54,9 +55,6 @@ __all__ = [
     "f_monotone_check",
     "classical_window_check",
 ]
-
-Exact = Union[Fraction, QuadSurd]
-NumberInput = Union[int, Fraction, QuadSurd, CFExpansion]
 
 
 # (c, [(r, n), ...], den) stands for (c + sum n*sqrt(r))/den with den > 0
@@ -150,16 +148,7 @@ class VerificationRecord:
         return _quotient_decimal(sign < 0, lo, hi, bw - bg - bt, significant, side)
 
 
-def _value(x: NumberInput) -> Exact:
-    """Exact value of x, a Fraction or an irrational QuadSurd, not expanded."""
-    if isinstance(x, CFExpansion):
-        x = cf_value(x)
-    if isinstance(x, QuadSurd):
-        return x.as_fraction() if x.is_rational else x
-    return Fraction(x)
-
-
-def coerce_number(x: NumberInput) -> tuple[Exact, CFExpansion]:
+def coerce_number(x: NumberInput) -> tuple[Union[Fraction, QuadSurd], CFExpansion]:
     """Exact value and canonical expansion of any accepted input form; an
     expansion is kept as given."""
     if isinstance(x, CFExpansion):
@@ -174,13 +163,12 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     The threshold is 1/(q^2 g(q)) (:func:`bound_g`), and |x - p/q| =
     1/(q^2 T) with T = alpha_{n+1} + q_{n-1}/q_n, the tail of
     :func:`cf.error_identity`; so the margin (g - T)/(q^2 g T) has the sign
-    of g - T, which is O(1).  x is not expanded: row n takes a_n, and so
-    p_n and q_n, from state n of :func:`cf._surd_walk` from x, and
-    alpha_{n+1} = (P + sqrt(D))/Q from state n + 1, so the scan reads
-    n_max + 2 states whatever x's period; a rational's states are its
-    Euclid remainders, alpha = P/Q.  Each sign is decided from integers
-    whose size does not grow with q, a filter at _B bits with an exact
-    fallback:
+    of g - T, which is O(1).  x is not expanded: row n takes p_n, q_n,
+    q_{n-1} and the state of alpha_{n+1} = (P + sqrt(D))/Q from
+    :func:`cf._convergent_walk`, so the scan reads n_max + 2 states whatever
+    x's period; a rational's states are its Euclid remainders, alpha = P/Q.
+    Each sign is decided from integers whose size does not grow with q, a
+    filter at _B bits with an exact fallback:
 
     * sqrt(D)*2^_B is enclosed once by isqrt, within one unit, and each
       row's alpha_{n+1}*2^_B, within 2 units, by a floor and a ceiling
@@ -206,22 +194,13 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     if n_max < 0:
         raise ValueError("n must be >= 0")
     value = _value(x)
-    if isinstance(value, Fraction):
-        states = _rational_states(value)
-        if n_max >= len(states):
-            raise ValueError(f"expansion has only {len(states)} digits")
-        root, sd = None, 0
-        walk = [(p, q, p // q) for p, q in states] + [(1, 0, 0)]  # T is infinite past the end
-    else:
-        p, q, d = _to_pqd(value)
+    root, sd = None, 0
+    if not isinstance(value, Fraction):
+        d = _to_pqd(value)[2]
         root, sd = square_free_split(d), isqrt(d << 2 * _B)
-        walk = _surd_walk(p, q, d)
     g_of = g_enclosure(spec, _B)
     records = []
-    p, p_prev, q, q_prev = 1, 0, 0, 1  # p_{-1}, p_{-2}, q_{-1}, q_{-2}
-    for n, ((_, _, a), (ap, aq, _)) in zip(range(n_max + 1), pairwise(walk)):
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+    for n, (p, q, q_prev, ap, aq) in zip(range(n_max + 1), _convergent_walk(value)):
         gl, gh = g_of(q)
         exact = None
         if not aq:  # x = p/q: the error is 0 and the threshold positive
@@ -294,50 +273,35 @@ def _numerator(g: Surd, t: Surd) -> tuple[int, list[tuple[int, int]]]:
 
 
 def is_in_F(x: NumberInput, k: int) -> bool:
-    """x in [0, 1] with every partial quotient <= k."""
+    """x in [0, 1] with every partial quotient <= k, read from
+    :func:`cf._period_walk` up to the first digit > k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    value, cf = coerce_number(x)
+    value = _value(x)
     if value < 0 or value > 1:
         return False
-    digits = [cf.a0, *cf.head, *(cf.period or ())]
-    return all(a <= k for a in digits)
-
-
-def _period_of(x: NumberInput) -> Optional[tuple[int, ...]]:
-    cf = x if isinstance(x, CFExpansion) else coerce_number(x)[1]
-    return cf.period
+    return all(a <= k for a, _ in _period_walk(value))
 
 
 def equivalent(x: NumberInput, y: NumberInput) -> bool:
     """Tail coincidence: rotated minimal periods equal; rationals are all
-    pairwise equivalent (their tails terminate the same way)."""
-    px, py = _period_of(x), _period_of(y)
-    if px is None and py is None:
-        return True
-    if px is None or py is None:
-        return False
-    if len(px) != len(py):
-        return False
-    doubled = px + px
-    return any(doubled[i : i + len(py)] == py for i in range(len(px)))
+    pairwise equivalent (their tails terminate the same way, and their
+    periods read from :func:`cf._period_walk` are empty)."""
+    px, py = (tuple(a for a, periodic in _period_walk(_value(v)) if periodic) for v in (x, y))
+    return len(px) == len(py) and (not px or any(px[i:] + px[:i] == py for i in range(len(px))))
 
 
 def nathanson_applicable(x: NumberInput, k: int) -> bool:
-    """True iff infinitely many partial quotients of x are >= k.
-
-    For k = 1 every irrational qualifies, with no expansion; for eventually
-    periodic x this is "some period element >= k", equivalently x is not
-    equivalent to an element of F(k-1).  A rational x raises ValueError.
-    """
+    """True iff infinitely many partial quotients of x are >= k: for
+    eventually periodic x, some period element is >= k, read from
+    :func:`cf._period_walk` up to the first one.  Equivalently x is not
+    equivalent to an element of F(k-1).  A rational x raises ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1 and not isinstance(_value(x), Fraction):
-        return True
-    period = _period_of(x)
-    if period is None:
+    value = _value(x)
+    if isinstance(value, Fraction):
         raise ValueError("x must be irrational")
-    return any(a >= k for a in period)
+    return any(a >= k for a, periodic in _period_walk(value) if periodic)
 
 
 def is_integer_translate(x: QuadSurd, y: QuadSurd) -> bool:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbounds import cli, exact, verify
+from cfbounds import cf, cli, exact, verify
 from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
 from cfbounds.exact import QuadSurd, RadicalSum
@@ -262,22 +262,23 @@ def test_report_builds_no_margin(tmp_path, monkeypatch):
     assert counts == {}
 
 
-def test_scanning_commands_expand_nothing_but_the_k_applicability_check(tmp_path, monkeypatch):
-    # a scan reads x's states only up to its depth; only nathanson and
-    # refined_f at k >= 2 expand x, to look for a period quotient >= k
+def test_scanning_commands_expand_nothing(tmp_path, monkeypatch):
+    # a scan reads x's states only up to its depth, and the applicability
+    # check at k >= 2 only up to the first period quotient >= k
     spec = "surd:(1+1*sqrt(5))/2"
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(spec + "\nrat:355/113\n")
     counts = {}
     _counting(monkeypatch, verify, "expand_surd", counts)
+    _counting(monkeypatch, cf, "expand_surd", counts)
     for argv in (["classical", spec, "--rule", "borel_triples", "--n", "10"],
                  ["classify-equality", spec, "--k", "2", "--n", "10"],
                  ["verify", spec, "--bound", "refined_f", "--k", "1", "--n", "10"],
-                 ["report", "--corpus", str(corpus), "--bound", "refined_f", "--k", "1", "--n", "10"]):
+                 ["report", "--corpus", str(corpus), "--bound", "refined_f", "--k", "1", "--n", "10"],
+                 ["verify", spec, "--bound", "refined_f", "--k", "2", "--n", "10"],
+                 ["convergents", spec, "--n", "10"]):
         code, _ = run_cli(argv)
         assert code == 0 and counts == {}, argv
-    code, _ = run_cli(["verify", spec, "--bound", "refined_f", "--k", "2", "--n", "10"])
-    assert code == 0 and counts == {"expand_surd": 1}
 
 
 # sqrt(100000000000031) has a period of 6,300,568 states
@@ -290,6 +291,10 @@ _LONG_PERIOD = "surd:(0+1*sqrt(100000000000031))/1"
     ["classify-equality", _LONG_PERIOD, "--k", "2"],
     ["classical", _LONG_PERIOD, "--rule", "borel_triples"],
     ["report", "--bound", "hancl_nair"],
+    ["convergents", _LONG_PERIOD],
+    ["verify", _LONG_PERIOD, "--bound", "nathanson", "--k", "3"],
+    ["verify", _LONG_PERIOD, "--bound", "refined_f", "--k", "2"],
+    ["report", "--bound", "refined_f", "--k", "2"],
 ])
 def test_scans_of_a_long_period_read_only_their_depth(tmp_path, argv):
     if argv[0] == "report":
@@ -298,7 +303,7 @@ def test_scans_of_a_long_period_read_only_their_depth(tmp_path, argv):
         argv = [*argv, "--corpus", str(corpus)]
     code, out = run_cli([*argv, "--n", "20"])
     assert code == 0 and out
-    if argv[0] in ("verify", "classify-equality"):
+    if argv[0] in ("verify", "classify-equality", "convergents"):
         assert [json.loads(line)["n"] for line in out.splitlines()[:21]] == list(range(21))
 
 

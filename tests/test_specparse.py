@@ -23,6 +23,13 @@ def test_parse_simple_values(text, expected):
     assert parse_number(text).parsed == expected
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(7, 30), Fraction(1, 2**10 * 3)])
+def test_dec_prefix_refuses_a_value_with_no_finite_decimal(value):
+    # rendering such a value would look for a power of ten that never comes
+    with pytest.raises(ValueError):
+        DecPrefix(value, 3)
+
+
 def test_parse_surd_is_alpha1():
     spec = parse_number("surd:(-1+1*sqrt(5))/2")
     assert (spec.parsed - alpha1(1)).sign() == 0

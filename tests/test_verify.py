@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,6 +14,7 @@ from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
 from cfbounds.cf import _error_term, _purely_periodic_value
 from cfbounds.exact import QuadSurd, RadicalSum
+from cfbounds.specparse import parse_number
 from cfbounds.verify import (
     LEMMA_IDS,
     LemmaInstance,
@@ -262,9 +264,9 @@ def test_margin_decimal_defers_adjacent_ends_to_the_canonical_decimal(monkeypatc
 
 
 def _counting_walks(monkeypatch) -> list[int]:
-    """Patch the scan's walk to record how many states each walk yields."""
+    """Patch the (P, Q) walk to record how many states each walk yields."""
     counts = []
-    walk = verify._surd_walk
+    walk = cf._surd_walk
 
     def counting(*args):
         counts.append(0)
@@ -272,7 +274,7 @@ def _counting_walks(monkeypatch) -> list[int]:
             counts[-1] += 1
             yield state
 
-    monkeypatch.setattr(verify, "_surd_walk", counting)
+    monkeypatch.setattr(cf, "_surd_walk", counting)
     return counts
 
 
@@ -324,16 +326,85 @@ def test_long_period_scans_equal_direct_margins():
         assert [(r.p, r.q) for r in records] == pqs
 
 
-def test_nathanson_applicable_expands_only_for_k_above_one(monkeypatch):
+def test_nathanson_applicable_expands_nothing(monkeypatch):
     calls = []
     expand = verify.expand_surd
     monkeypatch.setattr(verify, "expand_surd", lambda x: calls.append(x) or expand(x))
     assert nathanson_applicable(_LONG_PERIOD, 1) and nathanson_applicable(alpha1(3), 1)
+    assert nathanson_applicable(alpha1(3), 2) and not nathanson_applicable(alpha1(3), 4)
     assert calls == []
-    assert nathanson_applicable(alpha1(3), 2) and len(calls) == 1
     for k in (1, 2):
         with pytest.raises(ValueError):
             nathanson_applicable(Fraction(1, 2), k)
+
+
+def test_applicability_and_membership_stop_at_their_first_deciding_digit(monkeypatch):
+    # sqrt(N)'s x_1 is reduced and a_1 = 645161: the first period digit
+    # decides "some period digit >= k" for k <= 3, and "every digit <= 2"
+    counts = _counting_walks(monkeypatch)
+    for k in (1, 2, 3):
+        assert nathanson_applicable(_LONG_PERIOD, k)
+    assert not is_in_F(_LONG_PERIOD - 10**7, 2)
+    assert len(counts) == 4 and max(counts) <= 3
+
+
+def _seen_dict_expansion(x: QuadSurd) -> CFExpansion:
+    """Oracle for expand_surd: the period starts at the first state seen
+    twice (a0's own state is not recorded), found with a dict of every state."""
+    seen: dict[tuple[int, int], int] = {}
+    digits: list[int] = []
+    for i, (p, q, a) in enumerate(cf._surd_walk(*cf._to_pqd(x))):
+        if (p, q) in seen:
+            break
+        if i:
+            seen[p, q] = i
+        digits.append(a)
+    start = seen[p, q]
+    return CFExpansion(digits[0], tuple(digits[1:start]), tuple(digits[start:]))
+
+
+def _recurrence_pqs(expansion: CFExpansion, n: int) -> list[tuple[int, int]]:
+    """Oracle for convergents: the standard recurrences over digits 0..n."""
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    pqs = []
+    for a in expansion.digits(n + 1):
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+        pqs.append((p, q))
+    return pqs
+
+
+def _pool_surds() -> list[QuadSurd]:
+    pool = Path(__file__).resolve().parent.parent / "cfbench" / "data" / "corpus_pool.txt"
+    return [parse_number(line).parsed for line in pool.read_text(encoding="utf-8").split()]
+
+
+def test_reduced_state_periods_equal_the_seen_dict_periods():
+    xs = _pool_surds()
+    assert len(xs) == 600
+    xs += [*_NEGATIVE_Q, GOLDEN, *(alpha1(k) for k in range(1, 12)), alpha2(3) - 2]
+    for x in xs:
+        expansion = _seen_dict_expansion(x)
+        assert expand_surd(x) == expansion, x
+        assert [(c.p, c.q) for c in convergents(x, 12)] == _recurrence_pqs(expansion, 12), x
+    # the golden ratio is purely periodic from x_0 and alpha1(k) from x_1;
+    # either way the period is read from x_1
+    assert expand_surd(GOLDEN).render() == "[1;(1)]" and expand_surd(alpha1(5)).render() == "[0;(5)]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-40, max_value=40).filter(bool),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=2, max_value=10**5),
+)
+def test_reduced_state_periods_equal_the_seen_dict_periods_on_drawn_surds(a, b, c, d):
+    x = QuadSurd.make(a, b, c, d)
+    if x.is_rational:
+        return
+    expansion = _seen_dict_expansion(x)
+    assert expand_surd(x) == expansion
+    assert [(conv.p, conv.q) for conv in convergents(x, 8)] == _recurrence_pqs(expansion, 8)
 
 
 # ---------------------------------------------------------------------------
