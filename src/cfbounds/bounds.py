@@ -126,6 +126,28 @@ def g_enclosure(spec: BoundSpec, bits: int) -> Callable[[int], tuple[int, int]]:
                     and 2 more, each quotient by 2 q^2 floored or ceiled.
 
     Each root of g_inf is taken once, when the function is made.
+
+    The window.  Let (L, H) be the enclosure past the cut, of g_inf alone,
+    and y = 2^bits/q^2.  For every q >= 1 and bits >= 4 the enclosure lies
+    in [L, H + floor(y)], so a T outside that window is outside it too, on
+    the same side; a scan decides most rows against the window and encloses
+    g(q) only for the rest.  Past the cut, y <= 1/2 and the enclosure is
+    (L, H).  Below it:
+
+        dirichlet, vahlen, hurwitz, borel, nathanson: it is (L, H).
+        refined_f, hancl_g: L = s, H = s + 2, lo = (s + isqrt(u)) >> 1 and
+            hi = (s + isqrt(u + 1) + 3) >> 1, for u = d 4^bits +
+            4^(bits+1) // q^2.  lo >= s, as u >= d 4^bits.  As u + 1 <=
+            d 4^bits + 4 2^bits y + 1, sqrt(a + e) <= sqrt(a) + e/(2 sqrt(a))
+            and sqrt(d 4^bits) >= sqrt(5) 2^bits, isqrt(u + 1) < s + 1 +
+            0.9 y + 2^-bits; so isqrt(u + 1) <= s + 1 + m for
+            m = floor(0.9 y + 2^-bits), and hi <= s + 2 + floor(m/2).  m = 0
+            when y < 1, and m/2 < y otherwise, so floor(m/2) <= floor(y).
+        hancl_nair: L = s, H = s + 2, lo = s + hl // (2 q^2) >= s as hl > 0,
+            and hi = s + 1 + ceil((hl + 2)/(2 q^2)).  hl <= h 2^bits <
+            0.64 2^bits and 1/q^2 = y 2^-bits, so (hl + 2)/(2 q^2) < 0.32 y +
+            y 2^-bits: below 1 when y < 1, else below 0.4 y < floor(y) + 1.
+            So the ceiling is at most floor(y) + 1.
     """
     kind = spec.kind
     if kind in ("dirichlet", "vahlen"):

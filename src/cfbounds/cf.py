@@ -172,13 +172,19 @@ def _surd_walk(p: int, q: int, d: int) -> Iterator[tuple[int, int, int]]:
     """(P_i, Q_i, a_i) for i = 0, 1, ..., without end: the complete quotient
     x_i = [a_i; a_{i+1}, ...] = (P_i + sqrt(d))/Q_i of an irrational x_0 =
     (p + sqrt(d))/q with q | d - p^2.  Q_i divides d - P_i^2, and Q_i > 0
-    once the state is reduced; a head state may have Q_i < 0."""
+    once the state is reduced; a head state may have Q_i < 0.
+
+    P_{i+1} = a_i Q_i - P_i and Q_{i+1} = (d - P_{i+1}^2)/Q_i, which is
+    Q_{i-1} + a_i (P_i - P_{i+1}): d - P_{i+1}^2 = Q_{i-1} Q_i + P_i^2 -
+    P_{i+1}^2, and P_i + P_{i+1} = a_i Q_i.  With Q_{-1} = (d - p^2)/q the
+    walk divides d once, not once per state."""
     s = isqrt(d)
+    q_prev = (d - p * p) // q
     while True:
         a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
         yield p, q, a
-        p = a * q - p
-        q = (d - p * p) // q
+        p, p_prev = a * q - p, p
+        q, q_prev = q_prev + a * (p_prev - p), q
 
 
 def _period_walk(x: Union[Fraction, QuadSurd]) -> Iterator[tuple[int, bool]]:

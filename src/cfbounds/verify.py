@@ -9,10 +9,12 @@ A scan decides each row's sign in tail form, as the sign of g(q_n) - T_n
 with T_n = alpha_{n+1} + q_{n-1}/q_n, and builds no margin
 |x - p_n/q_n| - 1/f(q_n).  A filter at a fixed precision of _B bits decides
 it from integers whose size does not grow with q_n: the (P, Q) state of
-alpha_{n+1}, the top bits of q_{n-1} and q_n, and an enclosure of g.  Rows it cannot decide, the equality phases where g - T_n is O(1/q_n^2),
-take an exact path (see :func:`verify_bound_scan`).  A row's digits come
-from the same enclosures, or from the exact path's (see
-:meth:`VerificationRecord.margin_decimal`).
+alpha_{n+1}, the top bits of q_{n-1} and q_n, and a window of width
+1/q_n^2 above g's limit g_inf, then g(q_n)'s own enclosure for the few rows
+that meet the window.  Rows it cannot decide, the equality phases where
+g - T_n is O(1/q_n^2), take an exact path (see :func:`verify_bound_scan`).
+A row's digits come from the same enclosures, or from the exact path's
+(see :meth:`VerificationRecord.margin_decimal`).
 """
 from __future__ import annotations
 
@@ -81,11 +83,14 @@ class VerificationRecord:
     p: int
     q: int
     margin_sign: int
-    # (enc, exact, spec, root, (P, Q), q_prev): enc = (ml, mh, gl, gh, tl, th),
-    # the filter's integers of |g - T|, g and T times 2^_B, or None where it
-    # left the sign undecided and exact = (W, g, T) of :func:`_exact_tail`
-    # decided it; alpha_{n+1} = (P + s sqrt(r))/Q for root = (s, r), or P/Q
-    # for a rational (root None; Q = 0 past its last convergent)
+    # (enc, exact, spec, root, (P, Q), q_prev): enc = (tl, th, g_of) where
+    # the filter decided the sign, with [tl, th] its enclosure of T*2^_B and
+    # g_of the scan's :func:`bounds.g_enclosure`, which the row calls only if
+    # it prints digits; else None, and exact = (W, g, T) of
+    # :func:`_exact_tail` decided the sign, or the row is a rational's last
+    # convergent (exact None too).  alpha_{n+1} = (P + s sqrt(r))/Q for
+    # root = (s, r), or P/Q for a rational (root None; Q = 0 past its last
+    # convergent)
     _tail: tuple = field(repr=False, compare=False)
 
     @property
@@ -99,15 +104,21 @@ class VerificationRecord:
 
         A row the filter decided is rendered from its enclosures, as
         |g - T|/(q^2 g T) with q^2 between qt^2 4^s and (qt + 1)^2 4^s, for
-        qt = q >> s the top bits of q.  That needs |g - T| to ``need + 3``
-        bits: g and T are at least 1 and enclosed within 5 units of 2^-_B,
-        and qt has over _B bits, so each factor is known to a relative
-        2^-(_B - 3), and with _B >= need + 8 the quotient to 2^-(need - 3),
-        a small part of a last-digit step.
+        qt = q >> s the top bits of q.  T's enclosure is the scan's; g(q)'s
+        is taken here, since the scan decided most rows against g_inf's
+        window without it (taking it again costs the few rows that the scan
+        took it for at most two isqrt calls).  It lies inside that window
+        (:func:`bounds.g_enclosure`), so it is apart from T's on the side
+        that gave the sign, and |g - T| is enclosed away from 0.  That needs
+        |g - T| to ``need + 3`` bits: g and T are at least 1 and enclosed
+        within 5 units of 2^-_B, and qt has over _B bits, so each factor is
+        known to a relative 2^-(_B - 3), and with _B >= need + 8 the
+        quotient to 2^-(need - 3), a small part of a last-digit step.
 
         Other rows, and larger ``significant``, take the exact path: the
         margin is f W/(q^2 G T), with W, G and T the integer numerators of
-        g - T, g and T (:func:`_exact_tail`) and f = gcd(g.den, T.den), each
+        g - T, g and T (:func:`_exact_tail`; at a rational's last
+        convergent W = -g.den and T = 1) and f = gcd(g.den, T.den), each
         enclosed to ``need`` bits of its own size by :func:`exact._enclose`:
         in one interval when its terms have one sign, as g's do, else by the
         ladder that the separation bound caps.  Ends that round to
@@ -132,7 +143,9 @@ class VerificationRecord:
             return (w * (sign * f * mid.denominator) - gn * tn * (mid.numerator * q * q)).sign()
 
         if enc is not None and need + 8 <= _B:
-            ml, mh, gl, gh, tl, th = enc
+            tl, th, g_of = enc
+            gl, gh = g_of(q)
+            ml, mh = (gl - th, gh - tl) if sign > 0 else (tl - gh, th - gl)
             if (mh - ml) << (need + 3) <= ml:
                 s = max(0, q.bit_length() - _B - 2)
                 qt = q >> s
@@ -178,12 +191,22 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
       [pt/(qt + 1), (pt + 1)/qt], an interval of width at most 2/qt
       <= 2^-_B, so within 3 units of 2^-_B after the floor and ceiling;
       for smaller q, s = 0 and the one division is exact.
-    * g(q)*2^_B comes from :func:`bounds.g_enclosure`, within 3 units, with
-      sqrt(k^2 + 4) enclosed once.
+    * g(q)*2^_B is first placed in a window [L, H + 2^_B >> (2 bitlen(q) -
+      2)], where (L, H) is :func:`bounds.g_enclosure`'s enclosure of
+      g_inf*2^_B, taken once per scan: as q >= 2^(bitlen(q) - 1), the shift
+      is at least floor(2^_B/q^2), so the window holds g_enclosure's
+      [L, H + floor(2^_B/q^2)], and it costs no multiplication.
 
-    So T*2^_B lies in [tl, th] with th - tl <= 5, g*2^_B in [gl, gh], and
-    g - T > 0 when gl > th, < 0 when gh < tl.  Otherwise the row takes the
-    exact path: T = (q P + Q q_{n-1} + q sqrt(D))/(Q q) from the state, and
+    So T*2^_B lies in [tl, th] with th - tl <= 5, and g - T > 0 when the
+    window's low end is above th, < 0 when its high end is below tl.  That
+    decides all but the rows whose T is within about 1/q^2 of g_inf (about
+    one in a hundred of the first 31 rows of the benchmark's pool surds).
+    Those compare [tl, th] with g(q)'s own enclosure [gl, gh], within 3
+    units, which lies inside the window (:func:`bounds.g_enclosure`), so a
+    row the window decides is decided by it too, with the same sign, when
+    :meth:`VerificationRecord.margin_decimal` takes it to render the row.
+    Where [gl, gh] and [tl, th] meet, the row takes the exact path:
+    T = (q P + Q q_{n-1} + q sqrt(D))/(Q q) from the state, and
     g - T over a positive denominator, like radicands merged, is decided by
     :func:`exact._sign`: one comparison when it has at most one radical (the
     equality rows, where it has at most one), else the sign that the ladder
@@ -199,25 +222,29 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
         d = _to_pqd(value)[2]
         root, sd = square_free_split(d), isqrt(d << 2 * _B)
     g_of = g_enclosure(spec, _B)
+    g_lo, g_hi = g_of(1 << _B)  # g_inf*2^_B: q past g_of's cut
     records = []
     for n, (p, q, q_prev, ap, aq) in zip(range(n_max + 1), _convergent_walk(value)):
-        gl, gh = g_of(q)
-        exact = None
+        enc = exact = None
         if not aq:  # x = p/q: the error is 0 and the threshold positive
-            sign, enc = -1, (1, 1, gl, gh, 1, 1)
+            sign = -1
         else:
-            s = max(0, q.bit_length() - _B - 2)
+            b = q.bit_length()
+            s = max(0, b - _B - 2)
             qt, pt = q >> s, q_prev >> s
             rl, rh = (pt << _B) // (qt + (s > 0)), ((pt + (s > 0)) << _B) // qt + 1
             al, ah = _alpha_enclosure(ap, aq, sd)
             tl, th = al + rl, ah + rh
+            gl, gh = g_lo, g_hi + ((1 << _B) >> (2 * b - 2))
+            if gl <= th and tl <= gh:  # T meets the window: enclose g(q) itself
+                gl, gh = g_of(q)
             if gl > th:
-                sign, enc = 1, (gl - th, gh - tl, gl, gh, tl, th)
+                sign, enc = 1, (tl, th, g_of)
             elif gh < tl:
-                sign, enc = -1, (tl - gh, th - gl, gl, gh, tl, th)
+                sign, enc = -1, (tl, th, g_of)
             else:
                 exact = _exact_tail(q, spec, root, (ap, aq), q_prev)
-                sign, enc = _sign(*exact[0]), None
+                sign = _sign(*exact[0])
         tail = (enc, exact, spec, root, (ap, aq), q_prev)
         records.append(VerificationRecord(n, p, q, sign, tail))
     return records
@@ -284,11 +311,38 @@ def is_in_F(x: NumberInput, k: int) -> bool:
 
 
 def equivalent(x: NumberInput, y: NumberInput) -> bool:
-    """Tail coincidence: rotated minimal periods equal; rationals are all
+    """Tail coincidence: minimal periods equal up to rotation, compared by
+    their least rotations (:func:`_least_rotation`); rationals are all
     pairwise equivalent (their tails terminate the same way, and their
     periods read from :func:`cf._period_walk` are empty)."""
     px, py = (tuple(a for a, periodic in _period_walk(_value(v)) if periodic) for v in (x, y))
-    return len(px) == len(py) and (not px or any(px[i:] + px[:i] == py for i in range(len(px))))
+    return _least_rotation(px) == _least_rotation(py)
+
+
+def _least_rotation(s: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least rotation of s, in O(len(s)) comparisons.
+
+    Two candidate starts i != j are compared digit by digit.  If their
+    rotations first differ k digits in, the one at i larger, then for each
+    t <= k the rotation at i + t is larger than the one at j + t, so starts
+    i..i + k are ruled out (likewise with i and j swapped).  A comparison
+    either extends k or ends a run of k + 1 comparisons that rules out
+    k + 1 starts, and i and j each pass at most len(s) starts."""
+    n, i, j, k = len(s), 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[(i + k) % n], s[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    m = min(i, j)
+    return s[m:] + s[:m]
 
 
 def nathanson_applicable(x: NumberInput, k: int) -> bool:

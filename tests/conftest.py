@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from cfbounds import verify
 from cfbounds.bounds import bound_g
 from cfbounds.cf import _error_term
 from cfbounds.exact import QuadSurd, RadicalSum
@@ -36,3 +37,23 @@ def direct_margin(x, spec, p: int, q: int) -> RadicalSum:
     """Oracle for a scan row's margin |x - p/q| - 1/(q^2 g(q)), built directly:
     the error from x's integers, the threshold by inverting g(q)."""
     return _error_term(x, p, q) - g_value(spec, q).inverse() * Fraction(1, q * q)
+
+
+def recording_g_enclosure(monkeypatch) -> list[int]:
+    """Patch the scan's g enclosure to record each q at which g(q) itself is
+    enclosed; the scan's one call at q = 2^bits, past the cut, reads g_inf."""
+    calls = []
+    make = verify.g_enclosure
+
+    def recording(spec, bits):
+        enc = make(spec, bits)
+
+        def wrapped(q):
+            if q != 1 << bits:
+                calls.append(q)
+            return enc(q)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "g_enclosure", recording)
+    return calls

@@ -153,6 +153,21 @@ def test_g_enclosure_holds_g_on_both_sides_of_the_constant_regime(kind, bits):
             assert (scaled - lo).sign() >= 0 and (hi - scaled).sign() >= 0, (kind, k, q)
 
 
+@pytest.mark.parametrize("kind", ["refined_f", "hancl_g", "hancl_nair"])
+def test_g_enclosure_lies_in_the_window_of_its_limit(kind):
+    # past the cut the enclosure is (lo_inf, hi_inf), of g_inf; below it the
+    # enclosure lies in [lo_inf, hi_inf + 2^bits // q^2], the window that a
+    # scan decides most rows against before it encloses g(q)
+    bits = 320
+    qs = list(range(1, 10**4 + 1)) + [(1 << e) + t for e in range(14, 171) for t in (-1, 0, 1)]
+    for k in range(1, 51) if kind == "refined_f" else [None]:
+        enc = g_enclosure(BoundSpec(kind, k), bits)
+        lo_inf, hi_inf = enc(1 << bits)
+        for q in qs:
+            lo, hi = enc(q)
+            assert lo_inf <= lo and hi <= hi_inf + (1 << bits) // (q * q), (kind, k, q)
+
+
 def test_requires_k_for_parametric_bounds():
     with pytest.raises(ValueError):
         BoundSpec("refined_f")

@@ -16,6 +16,7 @@ from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
 from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.verify import classical_window_check
+from conftest import recording_g_enclosure
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -260,6 +261,18 @@ def test_report_builds_no_margin(tmp_path, monkeypatch):
     # alpha1(1) meets refined_f at k = 1 with equality at every odd n
     assert json.loads(outs[0].splitlines()[2])["holds_equal"] == 20
     assert counts == {}
+
+
+def test_report_encloses_g_itself_for_few_rows(monkeypatch):
+    # a row is first decided against g_inf's window, and only rows whose T
+    # meets it enclose g(q) itself: at most 2% of the pool's rows at depth 30
+    calls = recording_g_enclosure(monkeypatch)
+    pool = ROOT / "cfbench" / "data" / "corpus_pool.txt"
+    for flags in (["--bound", "refined_f", "--k", "1"], ["--bound", "hancl_nair"]):
+        calls.clear()
+        code, out = run_cli(["report", "--corpus", str(pool), *flags, "--n", "30"])
+        assert code == 0 and len(out.splitlines()) == 600
+        assert len(calls) <= 0.02 * 600 * 31, flags
 
 
 def test_scanning_commands_expand_nothing(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 from pathlib import Path
 
 import mpmath
@@ -13,11 +14,12 @@ from cfbounds import cf, exact, verify
 from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
 from cfbounds.cf import _error_term, _purely_periodic_value
-from cfbounds.exact import QuadSurd, RadicalSum
+from cfbounds.exact import QuadSurd, RadicalSum, _sign
 from cfbounds.specparse import parse_number
 from cfbounds.verify import (
     LEMMA_IDS,
     LemmaInstance,
+    VerificationRecord,
     check_lemma,
     classical_window_check,
     classify_equality,
@@ -29,7 +31,7 @@ from cfbounds.verify import (
     verify_bound_scan,
     _LEMMA_MIN_K,
 )
-from conftest import direct_margin, make_random_surd
+from conftest import direct_margin, make_random_surd, recording_g_enclosure
 
 GOLDEN = QuadSurd.make(1, 1, 2, 5)
 
@@ -181,6 +183,45 @@ def test_rows_the_filter_leaves_undecided_take_the_exact_path(monkeypatch):
             assert r.margin_sign == direct.sign() and r.margin_decimal(50) == direct.decimal(50)
     # hancl_nair's sqrt(61) leaves two radicals on the golden ratio's rows
     assert all(undecided) and len(signs) > 31
+
+
+def _equality_translates() -> list[QuadSurd]:
+    xs = [alpha1(k) + t for k in (1, 2, 3) for t in (-3, 0, 2)]
+    return xs + [alpha2(k) + t for k in (2, 3) for t in (-3, 0, 2)]
+
+
+def test_scan_signs_equal_the_exact_signs_of_g_minus_t():
+    # the filter, against g_inf's window and then g(q) itself, gives every
+    # row the exact sign of the numerator W of g - T
+    for x in _pool_surds() + _NEGATIVE_Q + _equality_translates():
+        for spec in _ALL_SPECS:
+            for r in verify_bound_scan(x, spec, 40):
+                assert r.margin_sign == _sign(*verify._exact_tail(r.q, *r._tail[2:])[0]), (x, spec, r.n)
+
+
+def test_rows_decided_against_g_inf_render_the_exact_paths_digits(monkeypatch):
+    # a row whose T lies outside g_inf's window is decided without g(q); g(q)'s
+    # own enclosure, taken when the row is rendered, lies inside the window
+    # (bounds.g_enclosure), so it decides the same sign, and the digits are
+    # those that the exact path renders
+    calls = recording_g_enclosure(monkeypatch)
+    first_rung = 0
+    for x in _pool_surds()[:40] + _NEGATIVE_Q + [GOLDEN, alpha1(2) + 1]:
+        for spec in (BoundSpec("refined_f", 1), BoundSpec("refined_f", 3), BoundSpec("hancl_g"),
+                     BoundSpec("hancl_nair"), BoundSpec("hurwitz")):
+            calls.clear()
+            records = verify_bound_scan(x, spec, 40)
+            tight = set(calls)
+            for r in records:
+                if r._tail[0] is None or r.q in tight:
+                    continue
+                first_rung += 1
+                tl, th, g_of = r._tail[0]
+                gl, gh = g_of(r.q)
+                assert gl > th if r.margin_sign > 0 else gh < tl, (x, spec, r.n)
+                exact_path = VerificationRecord(r.n, r.p, r.q, r.margin_sign, (None, *r._tail[1:]))
+                assert r.margin_decimal(50) == exact_path.margin_decimal(50), (x, spec, r.n)
+    assert first_rung > 8000  # of the 9,430 rows
 
 
 @pytest.mark.parametrize("significant", [0, -1])
@@ -348,12 +389,41 @@ def test_applicability_and_membership_stop_at_their_first_deciding_digit(monkeyp
     assert len(counts) == 4 and max(counts) <= 3
 
 
+def _division_walk(p: int, q: int, d: int):
+    """Oracle for cf._surd_walk: the states (P, Q, a) of (p + sqrt(d))/q,
+    each Q_{i+1} = (d - P_{i+1}^2)/Q_i by a full division."""
+    s = isqrt(d)
+    while True:
+        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+        yield p, q, a
+        p = a * q - p
+        q = (d - p * p) // q
+
+
+def test_surd_walk_states_equal_the_division_walk():
+    # Q_{i+1} = Q_{i-1} + a_i (P_i - P_{i+1}) against the division, state by
+    # state, through heads with Q < 0 into the period
+    rng = random.Random(21)
+    xs = _pool_surds() + _NEGATIVE_Q + [GOLDEN, alpha2(3) - 2]
+    xs += [make_random_surd(rng, dmax=10**6) for _ in range(400)]
+    for x in xs:
+        pqd = cf._to_pqd(x)
+        assert list(islice(cf._surd_walk(*pqd), 60)) == list(islice(_division_walk(*pqd), 60)), x
+    # a period of 2,000 under a radicand of about 2,800 bits
+    period = (1,) * 1999 + (2,)
+    x = cf.cf_value(CFExpansion(0, (), period))
+    pqd = cf._to_pqd(x)
+    assert list(islice(cf._surd_walk(*pqd), 2002)) == list(islice(_division_walk(*pqd), 2002))
+    assert expand_surd(x) == CFExpansion(0, (), period)
+
+
 def _seen_dict_expansion(x: QuadSurd) -> CFExpansion:
     """Oracle for expand_surd: the period starts at the first state seen
-    twice (a0's own state is not recorded), found with a dict of every state."""
+    twice (a0's own state is not recorded), found with a dict of every state
+    of the division walk."""
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    for i, (p, q, a) in enumerate(cf._surd_walk(*cf._to_pqd(x))):
+    for i, (p, q, a) in enumerate(_division_walk(*cf._to_pqd(x))):
         if (p, q) in seen:
             break
         if i:
@@ -430,6 +500,38 @@ def test_equivalent_examples():
     assert equivalent(alpha1(2), alpha2(2))
     assert not equivalent(alpha1(1), alpha1(2))
     assert equivalent(Fraction(10, 7), Fraction(-3, 5))
+
+
+def _rotation_equivalent(px: tuple, py: tuple) -> bool:
+    """Oracle for equivalent's period comparison: some rotation of px is py."""
+    return len(px) == len(py) and (not px or any(px[i:] + px[:i] == py for i in range(len(px))))
+
+
+def test_least_rotations_compare_periods_like_the_rotation_loop():
+    rng = random.Random(11)
+    for _ in range(3000):
+        px = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 9)))
+        if px and rng.random() < 0.5:
+            i = rng.randrange(len(px))
+            py = px[i:] + px[:i]
+        else:
+            py = tuple(rng.randint(1, 3) for _ in range(rng.choice([len(px), rng.randint(0, 9)])))
+        least = verify._least_rotation(px)
+        assert least == min((px[i:] + px[:i] for i in range(len(px))), default=())
+        assert (least == verify._least_rotation(py)) is _rotation_equivalent(px, py), (px, py)
+    # two periods of 8,000 that are not rotations of each other, and a rotation
+    px, py = (1,) * 7999 + (2,), (1,) * 7998 + (2, 2)
+    assert verify._least_rotation(px) != verify._least_rotation(py)
+    assert verify._least_rotation(px) == verify._least_rotation(px[3000:] + px[:3000])
+
+
+def test_equivalent_compares_minimal_periods_like_the_rotation_loop():
+    rng = random.Random(12)
+    for _ in range(300):
+        x, y = (cf.cf_value(CFExpansion(rng.randint(-3, 3), tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3))),
+                                        tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 6)))))
+                for _ in range(2))
+        assert equivalent(x, y) is _rotation_equivalent(expand_surd(x).period, expand_surd(y).period), (x, y)
 
 
 def test_nathanson_applicable():
