@@ -20,13 +20,12 @@ or sqrt(k^2+4)) with g_inf <= g(q) <= g_inf + 1/q^2, so
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from .exact import RadicalSum, square_free_split
+from .exact import RadicalSum, _Frozen, square_free_split
 
 __all__ = [
     "BOUND_KINDS",
@@ -56,17 +55,28 @@ class Outcome(str, Enum):
     FAILS = "Fails"
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    kind: str
-    k: int | None = None
+class BoundSpec(_Frozen):
+    """A bound of :data:`BOUND_KINDS`, with the k that nathanson and
+    refined_f require."""
 
-    def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if self.kind in _NEEDS_K:
-            if self.k is None or self.k < 1:
-                raise ValueError(f"bound {self.kind!r} requires k >= 1")
+    __slots__ = ("kind", "k")
+
+    def __init__(self, kind: str, k: int | None = None):
+        if kind not in BOUND_KINDS:
+            raise ValueError(f"unknown bound kind {kind!r}")
+        if kind in _NEEDS_K:
+            if k is None or k < 1:
+                raise ValueError(f"bound {kind!r} requires k >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundSpec):
+            return NotImplemented
+        return self.kind == other.kind and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.k))
 
 
 def f_value(k: int, q: int) -> RadicalSum:

@@ -15,13 +15,12 @@ with their closed-form convergents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import isqrt
 from typing import Iterator, Union
 
-from .exact import QuadSurd, RadicalSum
+from .exact import QuadSurd, RadicalSum, _Frozen
 
 __all__ = [
     "CFExpansion",
@@ -44,8 +43,7 @@ class IdentityMismatch(RuntimeError):
     """Two exact computations of the same quantity disagreed."""
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(_Frozen):
     """Canonical simple continued fraction [a0; head..., (period...)].
 
     ``period`` is None for finite (rational) expansions.  Finite expansions
@@ -53,20 +51,29 @@ class CFExpansion:
     and the shortest pre-period head.
     """
 
-    a0: int
-    head: tuple[int, ...] = ()
-    period: tuple[int, ...] | None = None
+    __slots__ = ("a0", "head", "period")
 
-    def __post_init__(self):
-        if any(a < 1 for a in self.head):
+    def __init__(self, a0: int, head: tuple[int, ...] = (), period: tuple[int, ...] | None = None):
+        if any(a < 1 for a in head):
             raise ValueError("partial quotients after a0 must be >= 1")
-        if self.period is not None:
-            if not self.period:
+        if period is not None:
+            if not period:
                 raise ValueError("period must be nonempty")
-            if any(a < 1 for a in self.period):
+            if any(a < 1 for a in period):
                 raise ValueError("partial quotients in period must be >= 1")
-        elif self.head and self.head[-1] == 1:
+        elif head and head[-1] == 1:
             raise ValueError("finite expansion must not end in 1")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "period", period)
+
+    def __eq__(self, other):
+        if not isinstance(other, CFExpansion):
+            return NotImplemented
+        return self.a0 == other.a0 and self.head == other.head and self.period == other.period
+
+    def __hash__(self) -> int:
+        return hash((self.a0, self.head, self.period))
 
     @property
     def is_finite(self) -> bool:
@@ -105,13 +112,23 @@ class CFExpansion:
         return f"CFExpansion {self.render()}"
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(_Frozen):
     """n-th convergent p/q, indexed so that p0/q0 = a0/1."""
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ("n", "p", "q")
+
+    def __init__(self, n: int, p: int, q: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if not isinstance(other, Convergent):
+            return NotImplemented
+        return self.n == other.n and self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.q))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.p, self.q)

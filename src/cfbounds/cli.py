@@ -27,7 +27,15 @@ import sys
 from fractions import Fraction
 
 from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec, Outcome
-from .cf import IdentityMismatch, _value, convergents, expand_rational
+from .cf import (
+    CFExpansion,
+    IdentityMismatch,
+    _value,
+    cf_value,
+    convergents,
+    expand_rational,
+    expand_surd,
+)
 from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, render
 from .verify import (
     LEMMA_IDS,
@@ -37,7 +45,6 @@ from .verify import (
     check_lemma,
     classify_equality,
     classical_window_check,
-    coerce_number,
     nathanson_applicable,
     verify_bound_scan,
 )
@@ -101,7 +108,12 @@ def _detail_rows(base: dict, records) -> list[dict]:
 
 def _cmd_expand(args) -> tuple[list[dict], bool]:
     spec = parse_number(args.number)
-    value, cf = coerce_number(_parsed_value(spec))
+    x = _parsed_value(spec)
+    if isinstance(x, CFExpansion):  # a cf: spec is canonical already
+        value, cf = cf_value(x), x
+    else:
+        value = _value(x)
+        cf = expand_rational(value) if isinstance(value, Fraction) else expand_surd(value)
     row = {
         "input": render(spec),
         "command": "expand",

@@ -25,7 +25,6 @@ up the digits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from typing import Callable, Iterable, Union
@@ -47,6 +46,40 @@ class MixedFieldError(ValueError):
 
 class UnsupportedExpressionError(ValueError):
     """A denominator that :meth:`RadicalSum.inverse` cannot rationalize."""
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__``, sets each once in
+    ``__init__`` through ``object.__setattr__``, and writes its own
+    ``__eq__`` and ``__hash__`` over explicit fields.  ``repr`` reads
+    ``Name(field=value, ...)`` over the slots not named with a leading
+    underscore.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slots through __setattr__
+        return _restore, (type(self), tuple(getattr(self, s) for s in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__ if s[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+
+def _restore(cls: type, values: tuple) -> _Frozen:
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _sieve(limit: int) -> list[int]:
@@ -277,7 +310,7 @@ def _radical(c: int, terms: Iterable[tuple[int, int]], den: int = 1) -> "Radical
 # RadicalSum
 
 
-class RadicalSum:
+class RadicalSum(_Frozen):
     """(c + sum of n*sqrt(r)) / den with distinct canonical radicands r > 1.
 
     The value is held as integers over one positive denominator: a constant
@@ -320,16 +353,6 @@ class RadicalSum:
         object.__setattr__(self, "_c", const)
         object.__setattr__(self, "_t", terms)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RadicalSum is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"RadicalSum is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle would otherwise restore the slots through __setattr__
-        return RadicalSum, (self.c0, self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, RadicalSum):
@@ -626,18 +649,29 @@ def _format_decimal(neg: bool, digits: int, e: int, significant: int) -> str:
 # QuadSurd
 
 
-@dataclass(frozen=True)
-class QuadSurd:
+class QuadSurd(_Frozen):
     """(a + b*sqrt(d))/c in canonical form.
 
     Invariants: c >= 1, gcd(a, b, c) = 1, d squarefree, and d = 1 exactly
-    when b = 0 (the rational embedding).  Use :meth:`make` to construct.
+    when b = 0 (the rational embedding).  Use :meth:`make` to construct;
+    the constructor stores its integers as given.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadSurd):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "QuadSurd":

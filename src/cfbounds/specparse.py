@@ -14,12 +14,11 @@ theorem claims; everything else parses to an exact value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .cf import CFExpansion, _finite, cf_value, expand_surd
-from .exact import QuadSurd
+from .exact import QuadSurd, _Frozen
 
 __all__ = ["DecPrefix", "NumberSpec", "SpecParseError", "parse_number", "render"]
 
@@ -32,29 +31,50 @@ class SpecParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class DecPrefix:
+class DecPrefix(_Frozen):
     """Decimal prefix: value known only to ``places`` decimal places.  The
     value must have a finite decimal expansion, else ValueError."""
 
-    value: Fraction
-    places: int
+    __slots__ = ("value", "places")
 
-    def __post_init__(self):
+    def __init__(self, value: Fraction, places: int):
         # den divides 10^m, m >= log2(den), iff 2 and 5 are its only primes
-        den = self.value.denominator
+        den = value.denominator
         if 10 ** den.bit_length() % den:
-            raise ValueError(f"{self.value} has no finite decimal expansion")
+            raise ValueError(f"{value} has no finite decimal expansion")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "places", places)
+
+    def __eq__(self, other):
+        if not isinstance(other, DecPrefix):
+            return NotImplemented
+        return self.value == other.value and self.places == other.places
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.places))
 
 
 ParsedValue = Union[Fraction, QuadSurd, CFExpansion, DecPrefix]
 
 
-@dataclass(frozen=True)
-class NumberSpec:
-    text: str
-    kind: str
-    parsed: ParsedValue
+class NumberSpec(_Frozen):
+    """A parsed spec: its compacted ``text``, its ``kind`` (rat, surd, cf or
+    dec) and the value it ``parsed`` to."""
+
+    __slots__ = ("text", "kind", "parsed")
+
+    def __init__(self, text: str, kind: str, parsed: ParsedValue):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parsed", parsed)
+
+    def __eq__(self, other):
+        if not isinstance(other, NumberSpec):
+            return NotImplemented
+        return self.text == other.text and self.kind == other.kind and self.parsed == other.parsed
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.kind, self.parsed))
 
     @property
     def is_exact(self) -> bool:

@@ -18,27 +18,21 @@ A row's digits come from the same enclosures, or from the exact path's
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Union
 
 from .bounds import BoundSpec, Outcome, bound_g, g_enclosure
 from .cf import (
-    CFExpansion,
     NumberInput,
     alpha1,
     alpha2,
-    cf_value,
-    expand_rational,
-    expand_surd,
     _convergent_walk,
     _period_walk,
     _purely_periodic_value,
     _to_pqd,
     _value,
 )
-from .exact import MixedFieldError, QuadSurd, RadicalSum, square_free_split
+from .exact import MixedFieldError, QuadSurd, RadicalSum, _Frozen, square_free_split
 from .exact import _enclose, _quotient_decimal, _radical, _sign
 
 __all__ = [
@@ -46,7 +40,6 @@ __all__ = [
     "VerificationRecord",
     "LemmaInstance",
     "LEMMA_IDS",
-    "coerce_number",
     "verify_bound_scan",
     "is_in_F",
     "equivalent",
@@ -67,8 +60,7 @@ Surd = tuple[int, list[tuple[int, int]], int]
 _B = 320
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(_Frozen):
     """Convergent n, p/q of a scan, and the sign of its margin
     |x - p/q| - 1/f(q) against the scan's bound.
 
@@ -79,19 +71,35 @@ class VerificationRecord:
     which :meth:`margin_decimal` renders most rows' digits.
     """
 
-    n: int
-    p: int
-    q: int
-    margin_sign: int
-    # (enc, exact, spec, root, (P, Q), q_prev): enc = (tl, th, g_of) where
-    # the filter decided the sign, with [tl, th] its enclosure of T*2^_B and
-    # g_of the scan's :func:`bounds.g_enclosure`, which the row calls only if
-    # it prints digits; else None, and exact = (W, g, T) of
+    # _tail is (enc, exact, spec, root, (P, Q), q_prev): enc = (tl, th,
+    # g_of) where the filter decided the sign, with [tl, th] its enclosure of
+    # T*2^_B and g_of the scan's :func:`bounds.g_enclosure`, which the row
+    # calls only if it prints digits; else None, and exact = (W, g, T) of
     # :func:`_exact_tail` decided the sign, or the row is a rational's last
     # convergent (exact None too).  alpha_{n+1} = (P + s sqrt(r))/Q for
     # root = (s, r), or P/Q for a rational (root None; Q = 0 past its last
-    # convergent)
-    _tail: tuple = field(repr=False, compare=False)
+    # convergent).  It is left out of repr, == and hash.
+    __slots__ = ("n", "p", "q", "margin_sign", "_tail")
+
+    def __init__(self, n: int, p: int, q: int, margin_sign: int, _tail: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "margin_sign", margin_sign)
+        object.__setattr__(self, "_tail", _tail)
+
+    def __eq__(self, other):
+        if not isinstance(other, VerificationRecord):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.p == other.p
+            and self.q == other.q
+            and self.margin_sign == other.margin_sign
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.q, self.margin_sign))
 
     @property
     def outcome(self) -> Outcome:
@@ -159,15 +167,6 @@ class VerificationRecord:
         f, q2 = gcd(g[2], t[2]), q * q
         lo, hi = (f * wl, q2 * gh * th), (f * wh, q2 * gl * tl)
         return _quotient_decimal(sign < 0, lo, hi, bw - bg - bt, significant, side)
-
-
-def coerce_number(x: NumberInput) -> tuple[Union[Fraction, QuadSurd], CFExpansion]:
-    """Exact value and canonical expansion of any accepted input form; an
-    expansion is kept as given."""
-    if isinstance(x, CFExpansion):
-        return cf_value(x), x
-    value = _value(x)
-    return value, expand_rational(value) if isinstance(value, Fraction) else expand_surd(value)
 
 
 def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[VerificationRecord]:
@@ -396,19 +395,28 @@ LEMMA_IDS = (
 _LEMMA_MIN_K = {"R2": 3, "R3": 2, "R4": 2, "R5": 2}
 
 
-@dataclass
 class LemmaInstance:
-    lemma_id: str
-    k: int
-    params: dict = field(default_factory=dict)
+    """One proof-case inequality of :data:`LEMMA_IDS` at k, with its
+    parameters (``depth``, ``q``); mutable, so unhashable."""
 
-    def __post_init__(self):
-        if self.lemma_id not in LEMMA_IDS:
-            raise ValueError(f"unknown lemma {self.lemma_id!r}")
-        if self.k < _LEMMA_MIN_K.get(self.lemma_id, 1):
-            raise ValueError(
-                f"{self.lemma_id} requires k >= {_LEMMA_MIN_K.get(self.lemma_id, 1)}"
-            )
+    __slots__ = ("lemma_id", "k", "params")
+
+    def __init__(self, lemma_id: str, k: int, params: dict | None = None):
+        if lemma_id not in LEMMA_IDS:
+            raise ValueError(f"unknown lemma {lemma_id!r}")
+        if k < _LEMMA_MIN_K.get(lemma_id, 1):
+            raise ValueError(f"{lemma_id} requires k >= {_LEMMA_MIN_K.get(lemma_id, 1)}")
+        self.lemma_id = lemma_id
+        self.k = k
+        self.params = {} if params is None else params
+
+    def __eq__(self, other):
+        if not isinstance(other, LemmaInstance):
+            return NotImplemented
+        return self.lemma_id == other.lemma_id and self.k == other.k and self.params == other.params
+
+    def __repr__(self) -> str:
+        return f"LemmaInstance(lemma_id={self.lemma_id!r}, k={self.k!r}, params={self.params!r})"
 
 
 def _is_int(v) -> bool:

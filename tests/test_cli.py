@@ -282,7 +282,7 @@ def test_scanning_commands_expand_nothing(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(spec + "\nrat:355/113\n")
     counts = {}
-    _counting(monkeypatch, verify, "expand_surd", counts)
+    _counting(monkeypatch, cli, "expand_surd", counts)
     _counting(monkeypatch, cf, "expand_surd", counts)
     for argv in (["classical", spec, "--rule", "borel_triples", "--n", "10"],
                  ["classify-equality", spec, "--k", "2", "--n", "10"],

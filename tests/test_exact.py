@@ -868,7 +868,7 @@ _surd_parts = st.tuples(
 @given(_surd_parts, _surd_parts, st.sampled_from([2, 3, 5, 8, 12, 50, 10007 * 3]), _huge_fraction)
 def test_surd_subtraction_equals_adding_the_negation(x, y, d, f):
     a, b = QuadSurd.make(*x, d), QuadSurd.make(*y, d)
-    # dataclass equality compares a, b, c, d: field for field
+    # equality compares a, b, c, d: field for field
     assert a - b == a + (-b)
     assert a - f == a + (-QuadSurd.from_rational(f))
 

@@ -329,7 +329,7 @@ def test_scan_reads_n_plus_two_states_and_expands_nothing(monkeypatch, x, n):
     # rows 0..n need the states of x_0..x_{n+1}, whatever x's period
     expected = [(r.n, r.p, r.q, r.margin_sign) for r in verify_bound_scan(x, BoundSpec("hurwitz"), n)]
     counts = _counting_walks(monkeypatch)
-    monkeypatch.delattr(verify, "expand_surd")  # the scan has no expansion to call
+    monkeypatch.delattr(cf, "expand_surd")  # the scan has no expansion to call
     records = verify_bound_scan(x, BoundSpec("hurwitz"), n)
     assert counts == [n + 2]
     assert [(r.n, r.p, r.q, r.margin_sign) for r in records] == expected
@@ -369,8 +369,8 @@ def test_long_period_scans_equal_direct_margins():
 
 def test_nathanson_applicable_expands_nothing(monkeypatch):
     calls = []
-    expand = verify.expand_surd
-    monkeypatch.setattr(verify, "expand_surd", lambda x: calls.append(x) or expand(x))
+    expand = cf.expand_surd
+    monkeypatch.setattr(cf, "expand_surd", lambda x: calls.append(x) or expand(x))
     assert nathanson_applicable(_LONG_PERIOD, 1) and nathanson_applicable(alpha1(3), 1)
     assert nathanson_applicable(alpha1(3), 2) and not nathanson_applicable(alpha1(3), 4)
     assert calls == []
@@ -461,7 +461,10 @@ def test_reduced_state_periods_equal_the_seen_dict_periods():
     assert expand_surd(GOLDEN).render() == "[1;(1)]" and expand_surd(alpha1(5)).render() == "[0;(5)]"
 
 
-@settings(max_examples=200, deadline=None)
+# derandomized: a draw with a large c*d has a long period that the oracle
+# walks in full, so random draws made this test take 3 s on one run, 20 s on
+# the next
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=-10**6, max_value=10**6),
     st.integers(min_value=-40, max_value=40).filter(bool),
