@@ -20,10 +20,11 @@ or sqrt(k^2+4)) with g_inf <= g(q) <= g_inf + 1/q^2, so
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import isqrt
-from typing import Callable
 
 from .exact import RadicalSum, _Frozen, square_free_split
 
@@ -70,14 +71,6 @@ class BoundSpec(_Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "k", k)
 
-    def __eq__(self, other):
-        if not isinstance(other, BoundSpec):
-            return NotImplemented
-        return self.kind == other.kind and self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.k))
-
 
 def f_value(k: int, q: int) -> RadicalSum:
     """f(q) = (q/2)(q sqrt(k^2+4) + sqrt((k^2+4) q^2 + 4)), exactly."""
@@ -109,6 +102,7 @@ def bound_g(spec: BoundSpec, q: int) -> tuple[int, list[tuple[int, int]], int]:
     return 0, [(r, s * q), (d * q * q + 4, 1)], 2 * q
 
 
+@cache
 def g_enclosure(spec: BoundSpec, bits: int) -> Callable[[int], tuple[int, int]]:
     """A function of q >= 1 that returns integers lo <= g(q)*2^bits <= hi,
     with hi - lo <= 3, in integers of about bits + bitlen(g) bits whatever q.
@@ -135,7 +129,9 @@ def g_enclosure(spec: BoundSpec, bits: int) -> Callable[[int], tuple[int, int]]:
                     between 4*2^bits - isqrt(125 4^bits) - 1 + isqrt(61 4^bits)
                     and 2 more, each quotient by 2 q^2 floored or ceiled.
 
-    Each root of g_inf is taken once, when the function is made.
+    Each root of g_inf is taken once, when the function is made, and the
+    function is made once per (spec, bits): a scan and the rows that render
+    its digits share it.
 
     The window.  Let (L, H) be the enclosure past the cut, of g_inf alone,
     and y = 2^bits/q^2.  For every q >= 1 and bits >= 4 the enclosure lies

@@ -15,10 +15,10 @@ with their closed-form convergents.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import pairwise
 from math import isqrt
-from typing import Iterator, Union
 
 from .exact import QuadSurd, RadicalSum, _Frozen
 
@@ -53,7 +53,11 @@ class CFExpansion(_Frozen):
 
     __slots__ = ("a0", "head", "period")
 
-    def __init__(self, a0: int, head: tuple[int, ...] = (), period: tuple[int, ...] | None = None):
+    def __init__(self, a0: int, head: Iterable[int] = (), period: Iterable[int] | None = None):
+        # stored as tuples, so that equal digits compare equal and hash
+        head = tuple(head)
+        if period is not None:
+            period = tuple(period)
         if any(a < 1 for a in head):
             raise ValueError("partial quotients after a0 must be >= 1")
         if period is not None:
@@ -66,14 +70,6 @@ class CFExpansion(_Frozen):
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "period", period)
-
-    def __eq__(self, other):
-        if not isinstance(other, CFExpansion):
-            return NotImplemented
-        return self.a0 == other.a0 and self.head == other.head and self.period == other.period
-
-    def __hash__(self) -> int:
-        return hash((self.a0, self.head, self.period))
 
     @property
     def is_finite(self) -> bool:
@@ -122,22 +118,14 @@ class Convergent(_Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    def __eq__(self, other):
-        if not isinstance(other, Convergent):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.q))
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.p, self.q)
 
 
-NumberInput = Union[int, Fraction, QuadSurd, CFExpansion]
+NumberInput = int | Fraction | QuadSurd | CFExpansion
 
 
-def expand_rational(x: Union[Fraction, int]) -> CFExpansion:
+def expand_rational(x: Fraction | int) -> CFExpansion:
     """Finite expansion of a rational; last digit != 1 when length >= 2."""
     return _finite([a for _, _, a in _rational_walk(Fraction(x))])
 
@@ -159,7 +147,7 @@ def _finite(digits: list[int]) -> CFExpansion:
     a trailing 1 folds into the digit before it."""
     if len(digits) > 1 and digits[-1] == 1:
         digits = [*digits[:-2], digits[-2] + 1]
-    return CFExpansion(digits[0], tuple(digits[1:]))
+    return CFExpansion(digits[0], digits[1:])
 
 
 def _to_pqd(x: QuadSurd) -> tuple[int, int, int]:
@@ -182,7 +170,7 @@ def expand_surd(x: QuadSurd) -> CFExpansion:
     head, period = [], []
     for a, periodic in _period_walk(x):
         (period if periodic else head).append(a)
-    return CFExpansion(head[0], tuple(head[1:]), tuple(period))
+    return CFExpansion(head[0], head[1:], period)
 
 
 def _surd_walk(p: int, q: int, d: int) -> Iterator[tuple[int, int, int]]:
@@ -204,7 +192,7 @@ def _surd_walk(p: int, q: int, d: int) -> Iterator[tuple[int, int, int]]:
         q, q_prev = q_prev + a * (p_prev - p), q
 
 
-def _period_walk(x: Union[Fraction, QuadSurd]) -> Iterator[tuple[int, bool]]:
+def _period_walk(x: Fraction | QuadSurd) -> Iterator[tuple[int, bool]]:
     """(a_i, in_period) for x's digits to the end of its first minimal period
     (a rational's digits, none in a period).  By Galois' theorem x_i =
     (P + sqrt(D))/Q, i >= 1, is purely periodic iff reduced; as x_i > 1,
@@ -224,7 +212,7 @@ def _period_walk(x: Union[Fraction, QuadSurd]) -> Iterator[tuple[int, bool]]:
         yield a, start is not None
 
 
-def _value(x: NumberInput) -> Union[Fraction, QuadSurd]:
+def _value(x: NumberInput) -> Fraction | QuadSurd:
     """Exact value of x, a Fraction or an irrational QuadSurd, not expanded."""
     if isinstance(x, CFExpansion):
         x = cf_value(x)
@@ -233,7 +221,7 @@ def _value(x: NumberInput) -> Union[Fraction, QuadSurd]:
     return Fraction(x)
 
 
-def _convergent_walk(x: Union[Fraction, QuadSurd]) -> Iterator[tuple[int, int, int, int, int]]:
+def _convergent_walk(x: Fraction | QuadSurd) -> Iterator[tuple[int, int, int, int, int]]:
     """(p_n, q_n, q_{n-1}, P, Q) for n = 0, 1, ...: the convergents of an
     exact x by the standard recurrences over the states of :func:`_surd_walk`,
     and the state of x_{n+1} = (P + sqrt(D))/Q, so row n reads n + 2 states.
@@ -288,7 +276,7 @@ def tail_value(cf: CFExpansion, n: int) -> QuadSurd:
     return t
 
 
-def cf_value(cf: CFExpansion) -> Union[Fraction, QuadSurd]:
+def cf_value(cf: CFExpansion) -> Fraction | QuadSurd:
     """Exact value of an expansion (Fraction if finite, surd otherwise)."""
     if not cf.is_finite:
         return tail_value(cf, -1)
@@ -310,7 +298,7 @@ def reversed_tail(cf: CFExpansion, n: int) -> Fraction:
     return v
 
 
-def _error_term(value: Union[Fraction, QuadSurd], p: int, q: int) -> RadicalSum:
+def _error_term(value: Fraction | QuadSurd, p: int, q: int) -> RadicalSum:
     if isinstance(value, Fraction):
         return RadicalSum(abs(value - Fraction(p, q)))
     # (a + b sqrt(d))/c - p/q = (aq - pc + bq sqrt(d))/(cq)

@@ -25,9 +25,9 @@ up the digits.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Callable, Iterable, Union
 
 __all__ = [
     "QuadSurd",
@@ -37,7 +37,7 @@ __all__ = [
     "square_free_split",
 ]
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class MixedFieldError(ValueError):
@@ -49,13 +49,16 @@ class UnsupportedExpressionError(ValueError):
 
 
 class _Frozen:
-    """Base of the package's immutable value classes.
+    """Base of the package's immutable value classes; it owns their ``==``,
+    ``hash`` and ``repr``.
 
-    A subclass lists its fields in ``__slots__``, sets each once in
-    ``__init__`` through ``object.__setattr__``, and writes its own
-    ``__eq__`` and ``__hash__`` over explicit fields.  ``repr`` reads
-    ``Name(field=value, ...)`` over the slots not named with a leading
-    underscore.
+    A subclass lists its fields in ``__slots__`` and sets each once in
+    ``__init__`` through ``object.__setattr__``.  Its key, :meth:`_key`, is
+    the tuple of the slots not named with a leading underscore: two
+    instances are equal when they are of one class and their keys are
+    equal, ``hash`` is the key's hash, and ``repr`` reads
+    ``Name(field=value, ...)`` over the same slots.  Copy and pickle restore
+    every slot, the private ones too.
     """
 
     __slots__ = ()
@@ -69,6 +72,17 @@ class _Frozen:
     def __reduce__(self):
         # copy and pickle would otherwise restore the slots through __setattr__
         return _restore, (type(self), tuple(getattr(self, s) for s in self.__slots__))
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, s) for s in self.__slots__ if s[0] != "_"])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__ if s[0] != "_")
@@ -354,13 +368,8 @@ class RadicalSum(_Frozen):
         object.__setattr__(self, "_t", terms)
         object.__setattr__(self, "den", den)
 
-    def __eq__(self, other):
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
-        return self._c == other._c and self.den == other.den and self._t == other._t
-
-    def __hash__(self) -> int:
-        return hash((self._c, self._t, self.den))
+    def _key(self) -> tuple:
+        return self._c, self._t, self.den
 
     # -- construction helpers and views
 
@@ -664,14 +673,6 @@ class QuadSurd(_Frozen):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadSurd):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
 
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "QuadSurd":

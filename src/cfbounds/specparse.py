@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
 from .cf import CFExpansion, _finite, cf_value, expand_surd
 from .exact import QuadSurd, _Frozen
@@ -45,16 +44,8 @@ class DecPrefix(_Frozen):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "places", places)
 
-    def __eq__(self, other):
-        if not isinstance(other, DecPrefix):
-            return NotImplemented
-        return self.value == other.value and self.places == other.places
 
-    def __hash__(self) -> int:
-        return hash((self.value, self.places))
-
-
-ParsedValue = Union[Fraction, QuadSurd, CFExpansion, DecPrefix]
+ParsedValue = Fraction | QuadSurd | CFExpansion | DecPrefix
 
 
 class NumberSpec(_Frozen):
@@ -67,14 +58,6 @@ class NumberSpec(_Frozen):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "parsed", parsed)
-
-    def __eq__(self, other):
-        if not isinstance(other, NumberSpec):
-            return NotImplemented
-        return self.text == other.text and self.kind == other.kind and self.parsed == other.parsed
-
-    def __hash__(self) -> int:
-        return hash((self.text, self.kind, self.parsed))
 
     @property
     def is_exact(self) -> bool:
@@ -139,7 +122,7 @@ def _parse_cf(body: str, pos: int) -> CFExpansion:
         per_part = rest[idx + 1 : -1]
         if not per_part:
             raise SpecParseError("empty period", pos)
-        period = tuple(_positive_quotient(item, pos) for item in per_part.split(","))
+        period = [_positive_quotient(item, pos) for item in per_part.split(",")]
         # a head is followed by exactly one comma, which leaves "" last
         items = rest[:idx].split(",")
         if items.pop():
@@ -147,7 +130,7 @@ def _parse_cf(body: str, pos: int) -> CFExpansion:
     head = [_positive_quotient(item, pos) for item in items]
     if period is None:
         return _finite([a0, *head])
-    return expand_surd(cf_value(CFExpansion(a0, tuple(head), period)))
+    return expand_surd(cf_value(CFExpansion(a0, head, period)))
 
 
 def _positive_quotient(item: str, pos: int) -> int:
@@ -156,7 +139,7 @@ def _positive_quotient(item: str, pos: int) -> int:
     return int(item)
 
 
-def render(spec: Union[NumberSpec, ParsedValue]) -> str:
+def render(spec: NumberSpec | ParsedValue) -> str:
     """Canonical text of a spec or of a parsed value; reparsing yields an
     equal parsed value."""
     v = spec.parsed if isinstance(spec, NumberSpec) else spec

@@ -71,14 +71,15 @@ class VerificationRecord(_Frozen):
     which :meth:`margin_decimal` renders most rows' digits.
     """
 
-    # _tail is (enc, exact, spec, root, (P, Q), q_prev): enc = (tl, th,
-    # g_of) where the filter decided the sign, with [tl, th] its enclosure of
-    # T*2^_B and g_of the scan's :func:`bounds.g_enclosure`, which the row
-    # calls only if it prints digits; else None, and exact = (W, g, T) of
-    # :func:`_exact_tail` decided the sign, or the row is a rational's last
-    # convergent (exact None too).  alpha_{n+1} = (P + s sqrt(r))/Q for
-    # root = (s, r), or P/Q for a rational (root None; Q = 0 past its last
-    # convergent).  It is left out of repr, == and hash.
+    # _tail is (enc, exact, spec, root, (P, Q), q_prev), data only, so a
+    # record copies and pickles: enc = (tl, th) where the filter decided the
+    # sign, with [tl, th] its enclosure of T*2^_B, which the row compares with
+    # g(q)'s (:func:`bounds.g_enclosure` of spec) only if it prints digits;
+    # else None, and exact = (W, g, T) of :func:`_exact_tail` decided the
+    # sign, or the row is a rational's last convergent (exact None too).
+    # alpha_{n+1} = (P + s sqrt(r))/Q for root = (s, r), or P/Q for a
+    # rational (root None; Q = 0 past its last convergent).  It is left out
+    # of repr, == and hash.
     __slots__ = ("n", "p", "q", "margin_sign", "_tail")
 
     def __init__(self, n: int, p: int, q: int, margin_sign: int, _tail: tuple):
@@ -87,19 +88,6 @@ class VerificationRecord(_Frozen):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "margin_sign", margin_sign)
         object.__setattr__(self, "_tail", _tail)
-
-    def __eq__(self, other):
-        if not isinstance(other, VerificationRecord):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.p == other.p
-            and self.q == other.q
-            and self.margin_sign == other.margin_sign
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.q, self.margin_sign))
 
     @property
     def outcome(self) -> Outcome:
@@ -151,8 +139,8 @@ class VerificationRecord(_Frozen):
             return (w * (sign * f * mid.denominator) - gn * tn * (mid.numerator * q * q)).sign()
 
         if enc is not None and need + 8 <= _B:
-            tl, th, g_of = enc
-            gl, gh = g_of(q)
+            tl, th = enc
+            gl, gh = g_enclosure(self._tail[2], _B)(q)
             ml, mh = (gl - th, gh - tl) if sign > 0 else (tl - gh, th - gl)
             if (mh - ml) << (need + 3) <= ml:
                 s = max(0, q.bit_length() - _B - 2)
@@ -238,9 +226,9 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
             if gl <= th and tl <= gh:  # T meets the window: enclose g(q) itself
                 gl, gh = g_of(q)
             if gl > th:
-                sign, enc = 1, (tl, th, g_of)
+                sign, enc = 1, (tl, th)
             elif gh < tl:
-                sign, enc = -1, (tl, th, g_of)
+                sign, enc = -1, (tl, th)
             else:
                 exact = _exact_tail(q, spec, root, (ap, aq), q_prev)
                 sign = _sign(*exact[0])

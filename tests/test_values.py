@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from cfbounds.bounds import BoundSpec
-from cfbounds.cf import CFExpansion, Convergent
+from cfbounds.cf import CFExpansion, Convergent, alpha1
 from cfbounds.exact import QuadSurd, RadicalSum
 from cfbounds.specparse import DecPrefix, NumberSpec
-from cfbounds.verify import LemmaInstance, VerificationRecord
+from cfbounds.verify import LemmaInstance, VerificationRecord, verify_bound_scan
 
 # (build, an equal value, an unequal value, repr, field to assign, bad
 # constructions that raise ValueError); build and the equal value are made
@@ -103,6 +103,21 @@ CASES = {
 }
 
 
+# each case's fields as a plain tuple: the hash of a hashable instance is
+# this tuple's hash, yet the instance is not equal to it
+KEYS = {
+    "QuadSurd": (3, 4, 5, 7),
+    "CFExpansion": (1, (2,), (3, 4)),
+    "Convergent": (1, 2, 3),
+    "DecPrefix": (Fraction(1, 4), 2),
+    "NumberSpec": ("rat:1/2", "rat", Fraction(1, 2)),
+    "BoundSpec": ("refined_f", 2),
+    "VerificationRecord": (4, 7, 9, -1),
+    "LemmaInstance": ("L0_limit", 1, {"q": 2}),
+    "RadicalSum": (1, ((2, 3),), 1),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_value_class_contract(name):
     build, same, other, text, attr, bad = CASES[name]
@@ -111,6 +126,12 @@ def test_value_class_contract(name):
     assert x == same() and not x != same()
     assert x != other() and not x == other()
     assert x != "x" and x != object()
+    # another class's instance, or the bare fields, never compare equal
+    for rival in sorted(CASES):
+        if rival != name:
+            y = CASES[rival][0]()
+            assert x != y and y != x and not x == y, rival
+    assert x != KEYS[name] and KEYS[name] != x and not x == KEYS[name]
     assert repr(x) == text
     if attr is None:  # mutable: unhashable, fields assignable
         with pytest.raises(TypeError):
@@ -119,7 +140,7 @@ def test_value_class_contract(name):
         assert x.k == 5 and x != same()
         x.k = 1
     else:
-        assert hash(x) == hash(same())
+        assert hash(x) == hash(same()) == hash(KEYS[name])
         for target in (attr, "extra"):
             with pytest.raises(AttributeError):
                 setattr(x, target, 0)
@@ -143,6 +164,11 @@ def test_value_class_contract(name):
 
 def test_value_class_defaults():
     assert CFExpansion(3) == CFExpansion(3, (), None)
+    # digits given as lists are stored as tuples: equal, and hashable
+    listed = CFExpansion(1, [2, 3], [4])
+    assert listed == CFExpansion(1, (2, 3), (4,)) and (listed.head, listed.period) == ((2, 3), (4,))
+    assert hash(listed) == hash(CFExpansion(1, (2, 3), (4,)))
+    assert CFExpansion(1, [2, 3]) == CFExpansion(1, (2, 3))
     assert BoundSpec("dirichlet").k is None
     assert LemmaInstance("L1_case1", 1).params == {}
     # each instance gets its own params dict
@@ -157,13 +183,34 @@ def test_copies_keep_a_records_tail():
         assert twin._tail == record._tail
 
 
+def test_records_from_a_scan_survive_copy_and_pickle():
+    # a row the filter decided, an equality row of the exact path, and a
+    # rational's last convergent, each with the digits it renders
+    filtered = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), 5)[3]
+    equal = verify_bound_scan(alpha1(3), BoundSpec("refined_f", 3), 3)[3]
+    last = verify_bound_scan(Fraction(355, 113), BoundSpec("refined_f", 3), 2)[2]
+    assert filtered._tail[0] is not None and filtered.margin_sign == -1
+    assert equal._tail[1] is not None and equal.margin_sign == 0
+    assert last._tail[:2] == (None, None) and last._tail[4][1] == 0 and last.margin_sign == -1
+    for record in (filtered, equal, last):
+        digits = record.margin_decimal(50)
+        for twin in (
+            copy.deepcopy(record),
+            *(pickle.loads(pickle.dumps(record, protocol)) for protocol in (2, pickle.HIGHEST_PROTOCOL)),
+        ):
+            assert twin == record and twin._tail == record._tail
+            assert twin.margin_decimal(50) == digits
+
+
 # the standard-library modules that cfbounds imports, directly or through them;
-# __future__ is what `from __future__ import annotations` loads
-STDLIB = "__future__ argparse csv io json fractions enum typing re math itertools"
+# __future__ is what `from __future__ import annotations` loads, and re brings
+# functools and collections.abc
+STDLIB = "__future__ argparse csv io json fractions enum re math itertools"
 
 
 def test_importing_the_cli_loads_only_cfbounds_past_the_stdlib_it_needs():
-    # a fresh interpreter, isolated from the environment and user site
+    # a fresh interpreter, isolated from the environment, without site: a
+    # site-packages .pth file may import modules (typing, say) at start-up
     script = (
         f"import sys\n"
         f"import {', '.join(STDLIB.split())}\n"
@@ -174,7 +221,7 @@ def test_importing_the_cli_loads_only_cfbounds_past_the_stdlib_it_needs():
         f"print('dataclasses' in sys.modules)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, check=True
     ).stdout.split("\n")
     added = out[0].split()
     assert "cfbounds.cli" in added

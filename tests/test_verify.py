@@ -216,8 +216,8 @@ def test_rows_decided_against_g_inf_render_the_exact_paths_digits(monkeypatch):
                 if r._tail[0] is None or r.q in tight:
                     continue
                 first_rung += 1
-                tl, th, g_of = r._tail[0]
-                gl, gh = g_of(r.q)
+                tl, th = r._tail[0]
+                gl, gh = verify.g_enclosure(spec, verify._B)(r.q)
                 assert gl > th if r.margin_sign > 0 else gh < tl, (x, spec, r.n)
                 exact_path = VerificationRecord(r.n, r.p, r.q, r.margin_sign, (None, *r._tail[1:]))
                 assert r.margin_decimal(50) == exact_path.margin_decimal(50), (x, spec, r.n)
