@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec, Outcome
+from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec
 from .cf import (
     CFExpansion,
     IdentityMismatch,
@@ -40,8 +40,10 @@ from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, rend
 from .verify import (
     LEMMA_IDS,
     _LEMMA_MIN_K,
+    _OUTCOMES,
     _WINDOW_RULES,
     LemmaInstance,
+    _scan,
     check_lemma,
     classify_equality,
     classical_window_check,
@@ -95,7 +97,7 @@ def _detail_rows(base: dict, records) -> list[dict]:
     return [
         {
             **base, "type": "detail", "n": r.n, "p": r.p, "q": r.q,
-            "outcome": r.outcome.value, "margin_sign": r.margin_sign,
+            "outcome": _OUTCOMES[r.margin_sign].value, "margin_sign": r.margin_sign,
             "margin_decimal_50": r.margin_decimal(50),
         }
         for r in records
@@ -216,12 +218,11 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
         spec = parse_number(text)
         value = _exact_input(spec, "report")
         depth = min(args.n, len(expand_rational(value)) - 1) if isinstance(value, Fraction) else args.n
-        records = verify_bound_scan(value, bspec, depth)
+        # the counts need only each row's sign, so no record is built
+        signs = [row[3] for row in _scan(value, bspec, depth)]
         applicable = _applicable(value, args.bound, args.k)
-        counts = {o: 0 for o in Outcome}
-        for r in records:
-            counts[r.outcome] += 1
-        if applicable and counts[Outcome.FAILS] == len(records):
+        fails = signs.count(1)
+        if applicable and fails == len(signs):
             ok = False
         rows.append({
             "input": render(spec),
@@ -231,9 +232,9 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
             "k": args.k,
             "n": args.n,
             "applicable": applicable,
-            "holds_strict": counts[Outcome.HOLDS_STRICT],
-            "holds_equal": counts[Outcome.HOLDS_EQUAL],
-            "fails": counts[Outcome.FAILS],
+            "holds_strict": signs.count(-1),
+            "holds_equal": signs.count(0),
+            "fails": fails,
         })
     return rows, ok
 

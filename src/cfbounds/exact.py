@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import attrgetter
 
 __all__ = [
     "QuadSurd",
@@ -54,7 +55,8 @@ class _Frozen:
 
     A subclass lists its fields in ``__slots__`` and sets each once in
     ``__init__`` through ``object.__setattr__``.  Its key, :meth:`_key`, is
-    the tuple of the slots not named with a leading underscore: two
+    the tuple of the slots not named with a leading underscore, read by one
+    ``attrgetter`` that the class makes when it is defined: two
     instances are equal when they are of one class and their keys are
     equal, ``hash`` is the key's hash, and ``repr`` reads
     ``Name(field=value, ...)`` over the same slots.  Copy and pickle restore
@@ -62,6 +64,13 @@ class _Frozen:
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = [s for s in cls.__slots__ if s[0] != "_"]
+        get = attrgetter(*names)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -74,7 +83,7 @@ class _Frozen:
         return _restore, (type(self), tuple(getattr(self, s) for s in self.__slots__))
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, s) for s in self.__slots__ if s[0] != "_"])
+        return self._fields(self)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -55,6 +55,9 @@ __all__ = [
 # (c, [(r, n), ...], den) stands for (c + sum n*sqrt(r))/den with den > 0
 Surd = tuple[int, list[tuple[int, int]], int]
 
+# a row's outcome, by the sign of its margin
+_OUTCOMES = {-1: Outcome.HOLDS_STRICT, 0: Outcome.HOLDS_EQUAL, 1: Outcome.FAILS}
+
 # bits of the scan's fixed-precision filter: every enclosure below is an
 # integer times 2^-_B, and q enters through its top _B bits
 _B = 320
@@ -91,8 +94,7 @@ class VerificationRecord(_Frozen):
 
     @property
     def outcome(self) -> Outcome:
-        s = self.margin_sign
-        return Outcome.HOLDS_STRICT if s < 0 else Outcome.HOLDS_EQUAL if s == 0 else Outcome.FAILS
+        return _OUTCOMES[self.margin_sign]
 
     def margin_decimal(self, significant: int = 50) -> str:
         """The margin to ``significant`` digits, correctly rounded ("0" for
@@ -201,6 +203,13 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
     convergent, with error 0 and state Q = 0 after it, has the margin
     -1/(q^2 g); a rational scanned past it raises ValueError.
     """
+    return [VerificationRecord(*row) for row in _scan(x, spec, n_max)]
+
+
+def _scan(x: NumberInput, spec: BoundSpec, n_max: int):
+    """The rows of :func:`verify_bound_scan`, each as the arguments
+    (n, p, q, sign, tail) of its :class:`VerificationRecord`; a caller
+    that reads only signs builds no record."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
     value = _value(x)
@@ -209,20 +218,24 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
         d = _to_pqd(value)[2]
         root, sd = square_free_split(d), isqrt(d << 2 * _B)
     g_of = g_enclosure(spec, _B)
-    g_lo, g_hi = g_of(1 << _B)  # g_inf*2^_B: q past g_of's cut
-    records = []
+    one = 1 << _B
+    g_lo, g_hi = g_of(one)  # g_inf*2^_B: q past g_of's cut
     for n, (p, q, q_prev, ap, aq) in zip(range(n_max + 1), _convergent_walk(value)):
         enc = exact = None
         if not aq:  # x = p/q: the error is 0 and the threshold positive
             sign = -1
         else:
             b = q.bit_length()
-            s = max(0, b - _B - 2)
-            qt, pt = q >> s, q_prev >> s
-            rl, rh = (pt << _B) // (qt + (s > 0)), ((pt + (s > 0)) << _B) // qt + 1
+            if b <= _B + 2:  # s = 0: the division is exact
+                rl = (q_prev << _B) // q
+                rh = rl + 1
+            else:
+                s = b - _B - 2
+                qt, pt = q >> s, q_prev >> s
+                rl, rh = (pt << _B) // (qt + 1), ((pt + 1) << _B) // qt + 1
             al, ah = _alpha_enclosure(ap, aq, sd)
             tl, th = al + rl, ah + rh
-            gl, gh = g_lo, g_hi + ((1 << _B) >> (2 * b - 2))
+            gl, gh = g_lo, g_hi + (one >> (2 * b - 2))
             if gl <= th and tl <= gh:  # T meets the window: enclose g(q) itself
                 gl, gh = g_of(q)
             if gl > th:
@@ -232,9 +245,7 @@ def verify_bound_scan(x: NumberInput, spec: BoundSpec, n_max: int) -> list[Verif
             else:
                 exact = _exact_tail(q, spec, root, (ap, aq), q_prev)
                 sign = _sign(*exact[0])
-        tail = (enc, exact, spec, root, (ap, aq), q_prev)
-        records.append(VerificationRecord(n, p, q, sign, tail))
-    return records
+        yield n, p, q, sign, (enc, exact, spec, root, (ap, aq), q_prev)
 
 
 def _alpha_enclosure(p: int, q: int, sd: int) -> tuple[int, int]:
@@ -558,7 +569,7 @@ def classical_window_check(x: NumberInput, rule: str, n_max: int) -> bool:
     value = _value(x)
     if isinstance(value, Fraction):
         raise ValueError("rule requires an irrational input")
-    hits = [r.margin_sign < 0 for r in verify_bound_scan(value, spec, n_max)]
+    hits = [row[3] < 0 for row in _scan(value, spec, n_max)]
     return all(
         any(hits[i : i + width]) for i in range(0, n_max - width + 2)
     )

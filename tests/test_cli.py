@@ -110,11 +110,14 @@ def test_lemmas_exit_1_on_failing_case():
     assert any(r["lemma"] == "R1" and not r["holds"] for r in rows)
 
 
+def _golden() -> dict:
+    return json.loads((ROOT / "cfbench" / "data" / "golden.json").read_text(encoding="utf-8"))
+
+
 def _replay_golden(prefix, count):
     # the benchmark's golden copy of each command that starts with prefix:
     # the exit code, the line count and the SHA-256 of stdout
-    golden = json.loads((ROOT / "cfbench" / "data" / "golden.json").read_text(encoding="utf-8"))
-    commands = {key: want for key, want in golden["commands"].items() if key.startswith(prefix + " ")}
+    commands = {key: want for key, want in _golden()["commands"].items() if key.startswith(prefix + " ")}
     assert len(commands) == count
     for key, want in commands.items():
         code, out = run_cli(key.split())
@@ -131,6 +134,19 @@ def test_scans_match_golden_copy(prefix, count):
     # verify at depths 250 and 498..502, and classify-equality over 18
     # integer translates of the k = 2 families, at depth 400
     _replay_golden(prefix, count)
+
+
+def test_report_matches_golden_copy():
+    # the benchmark's golden SHA-256 of each report line, over the whole
+    # corpus pool (600 surds) under both of its bounds, at n = 30
+    pool = ROOT / "cfbench" / "data" / "corpus_pool.txt"
+    tables = _golden()["report_rows"]
+    assert len(tables) == 2
+    for key, want in tables.items():
+        command, *rest = key.split()
+        code, out = run_cli([command, "--corpus", str(pool), *rest])
+        got = [hashlib.sha256(line.encode()).hexdigest() for line in out.splitlines(keepends=True)]
+        assert code == 0 and len(want) == 600 and got == want, key
 
 
 def test_classical_rule():

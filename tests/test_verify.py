@@ -1,5 +1,8 @@
 """Unit tests for the theorem-verification harness."""
+import io
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -15,7 +18,8 @@ from cfbounds.bounds import BoundSpec, Outcome, f_value
 from cfbounds.cf import CFExpansion, alpha1, alpha2, convergents, expand_rational, expand_surd
 from cfbounds.cf import _error_term, _purely_periodic_value
 from cfbounds.exact import QuadSurd, RadicalSum, _sign
-from cfbounds.specparse import parse_number
+from cfbounds.cli import main
+from cfbounds.specparse import parse_number, render
 from cfbounds.verify import (
     LEMMA_IDS,
     LemmaInstance,
@@ -197,6 +201,44 @@ def test_scan_signs_equal_the_exact_signs_of_g_minus_t():
         for spec in _ALL_SPECS:
             for r in verify_bound_scan(x, spec, 40):
                 assert r.margin_sign == _sign(*verify._exact_tail(r.q, *r._tail[2:])[0]), (x, spec, r.n)
+
+
+def test_rows_on_both_sides_of_the_top_bits_cut_take_the_exact_sign():
+    # q_{n-1}/q_n is divided exactly while q has at most _B + 2 bits, and
+    # from the top bits of both after; the rows on both sides of the cut
+    # decide the exact sign of g - T
+    cut = 1 << (verify._B + 2)
+    for x, first in ((QuadSurd.make(3, 2, 5, 7), 218), (alpha1(2) + 1, 254)):
+        for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair")):
+            records = verify_bound_scan(x, spec, 260)
+            assert [r.n for r in records if r.q >= cut][0] == first
+            for r in records:
+                assert r.margin_sign == _sign(*verify._exact_tail(r.q, *r._tail[2:])[0]), (x, spec, r.n)
+
+
+def test_sign_readers_count_the_records_outcomes(tmp_path):
+    # report and classical_window_check read only each row's sign, and build
+    # no record; their counts and verdicts are those of the records
+    surds = _pool_surds() + _NEGATIVE_Q + _equality_translates()
+    xs = surds + [Fraction(355, 113), Fraction(-7, 3), Fraction(5)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(render(x) + "\n" for x in xs), encoding="utf-8")
+    for spec in _ALL_SPECS:
+        k = [] if spec.k is None else ["--k", str(spec.k)]
+        buf = io.StringIO()
+        assert main(["report", "--corpus", str(corpus), "--bound", spec.kind, *k, "--n", "30"], out=buf) in (0, 1)
+        rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert len(rows) == len(xs)
+        for x, row in zip(xs, rows):
+            depth = min(30, len(expand_rational(x)) - 1) if isinstance(x, Fraction) else 30
+            counts = Counter(r.outcome for r in verify_bound_scan(x, spec, depth))
+            got = [row["holds_strict"], row["holds_equal"], row["fails"]]
+            assert got == [counts[o] for o in Outcome], (x, spec)
+    for rule, (spec, width) in verify._WINDOW_RULES.items():
+        for x in surds:
+            hits = [r.outcome is Outcome.HOLDS_STRICT for r in verify_bound_scan(x, spec, 30)]
+            want = all(any(hits[i : i + width]) for i in range(32 - width))
+            assert classical_window_check(x, rule, 30) == want, (x, rule)
 
 
 def test_rows_decided_against_g_inf_render_the_exact_paths_digits(monkeypatch):
