@@ -36,6 +36,7 @@ from .cf import (
     expand_rational,
     expand_surd,
 )
+from .exact import _decimal
 from .specparse import DecPrefix, NumberSpec, SpecParseError, parse_number, render
 from .verify import (
     LEMMA_IDS,
@@ -43,8 +44,8 @@ from .verify import (
     _OUTCOMES,
     _WINDOW_RULES,
     LemmaInstance,
+    _lemma_row,
     _scan,
-    check_lemma,
     classify_equality,
     classical_window_check,
     nathanson_applicable,
@@ -167,23 +168,24 @@ def _parse_k_range(text: str) -> range:
 
 
 def _cmd_lemmas(args) -> tuple[list[dict], bool]:
+    # each row is rendered from its margin's integers: no RadicalSum
     rows = []
     ok = True
     for k in args.k_range:
         for lemma in LEMMA_IDS:
             if k < _LEMMA_MIN_K.get(lemma, 1):
                 continue
-            params = {"depth": args.depth} if lemma.startswith("R") else {}
-            holds, margin = check_lemma(LemmaInstance(lemma, k, params))
+            depth = args.depth if lemma.startswith("R") else None
+            params = {} if depth is None else {"depth": depth}
+            holds, sign, c, terms, den = _lemma_row(LemmaInstance(lemma, k, params))
             rows.append({
                 "command": "lemmas",
                 "lemma": lemma,
                 "k": k,
-                "depth": args.depth if lemma.startswith("R") else None,
+                "depth": depth,
                 "holds": holds,
-                # check_lemma took the sign: holds means it is +1
-                "margin_sign": 1 if holds else margin.sign(),
-                "margin_decimal_50": margin.decimal(50),
+                "margin_sign": sign,
+                "margin_decimal_50": _decimal(c, terms, den, 50),
             })
             ok = ok and holds
     return rows, ok

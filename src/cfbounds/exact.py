@@ -503,35 +503,43 @@ class RadicalSum(_Frozen):
     # -- rendering
 
     def decimal(self, significant: int = 50) -> str:
-        """Correctly rounded decimal string with ``significant`` digits.
-
-        Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
-        one digit), rounded half to even; ``significant`` < 1 raises
-        ValueError.  The digits are rounded once from :func:`_enclose` of
-        the numerator at ``need`` bits: an enclosure at most m + 1 units wide
-        (m radical terms) of a value of at least 2^(need - 1) units, so its
-        width is below 2^-62 of a step in the last digit.  Endpoints that
-        round apart go to :func:`_settle`.
-        """
-        if significant < 1:
-            raise ValueError("significant must be >= 1")
-        need = (10**significant).bit_length() + len(self._t).bit_length() + 64
-        enc = _enclose(self._c, self._t, need)
-        if enc is None:
-            return "0"
-        sign, bits, lo, hi = enc
-        if bits < 0:  # a sum of one sign above 2^need
-            lo, hi, bits = lo << -bits, hi << -bits, 0
-        neg = sign < 0
-        e, a, b = _round_pair(lo, hi, self.den << bits, significant)
-        if b != a:
-            a = _settle(e, a, b, significant, lambda t: -(self + t).sign() if neg else (self - t).sign())
-        return _format_decimal(neg, a, e, significant)
+        """Correctly rounded decimal string (see :func:`_decimal`)."""
+        return _decimal(self._c, self._t, self.den, significant)
 
     def __repr__(self) -> str:
         parts = [str(self.c0)] if self._c or not self._t else []
         parts.extend(f"{c}*sqrt({r})" for c, r in self.terms)
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant: int) -> str:
+    """Correctly rounded decimal string of (c + sum n*sqrt(r))/den, for
+    integers with den > 0 and r >= 1, with ``significant`` digits.
+
+    Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
+    one digit), rounded half to even; ``significant`` < 1 raises
+    ValueError.  The digits are rounded once from :func:`_enclose` of
+    the numerator at ``need`` bits: an enclosure at most m + 1 units wide
+    (m radical terms) of a value of at least 2^(need - 1) units, so its
+    width is below 2^-62 of a step in the last digit.  Endpoints that
+    round apart go to :func:`_settle`, with sign(|v| - tn/td) the exact sign
+    of sign*c*td - tn*den + sum sign*n*td*sqrt(r); radicands may repeat.
+    """
+    if significant < 1:
+        raise ValueError("significant must be >= 1")
+    need = (10**significant).bit_length() + len(terms).bit_length() + 64
+    enc = _enclose(c, terms, need)
+    if enc is None:
+        return "0"
+    sign, bits, lo, hi = enc
+    if bits < 0:  # a sum of one sign above 2^need
+        lo, hi, bits = lo << -bits, hi << -bits, 0
+    e, a, b = _round_pair(lo, hi, den << bits, significant)
+    if b != a:
+        a = _settle(e, a, b, significant, lambda t: _sign(
+            sign * c * t.denominator - t.numerator * den,
+            [(r, sign * n * t.denominator) for r, n in terms]))
+    return _format_decimal(sign < 0, a, e, significant)
 
 
 def _pick_split_prime(rads: list[int]) -> int:

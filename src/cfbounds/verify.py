@@ -403,6 +403,8 @@ class LemmaInstance:
     def __init__(self, lemma_id: str, k: int, params: dict | None = None):
         if lemma_id not in LEMMA_IDS:
             raise ValueError(f"unknown lemma {lemma_id!r}")
+        if not _is_int(k):
+            raise ValueError("k must be an integer")
         if k < _LEMMA_MIN_K.get(lemma_id, 1):
             raise ValueError(f"{lemma_id} requires k >= {_LEMMA_MIN_K.get(lemma_id, 1)}")
         self.lemma_id = lemma_id
@@ -452,58 +454,66 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     N = Y^2 - q1^2 d = -4 (q1^2 - k q1 q0 - q0^2), nonzero for q1 >= 1.
     The checks that tie the closed forms to the paper's constructions still
     run: L2's and L3's v are built from continued fractions and compared
-    with their closed forms, and L4's margin with its pre-squared display
-    num/(s + sqrt(d)) through :meth:`RadicalSum.inverse`; a mismatch raises
-    ArithmeticError (the CLI's exit 4).  The sign is the margin's exact
-    :meth:`RadicalSum.sign`.
+    with their closed forms as canonical QuadSurds, and L4's margin with its
+    pre-squared display num/(s + sqrt(d)) through :meth:`RadicalSum.inverse`;
+    a mismatch raises ArithmeticError (the CLI's exit 4).  The sign is
+    :func:`_sign` of the margin's integers, as :func:`_lemma_row` gives them
+    to the CLI, which renders rows with no RadicalSum.
 
-    L0's ``q`` and R's ``qstar = (q1, q0)`` must be denominators, integers
-    with q >= 1, q1 >= 1 and q0 >= 0, and R's ``depth`` an integer, else
-    ValueError; a bool is not taken for an integer.
+    ``k`` (see :class:`LemmaInstance`) and R's ``depth`` must be integers,
+    and L0's ``q`` and R's ``qstar = (q1, q0)`` denominators, integers with
+    q >= 1, q1 >= 1 and q0 >= 0, else ValueError; a bool is not an integer.
     """
+    holds, _, c, terms, den = _lemma_row(inst)
+    return holds, _radical(c, terms, den)
+
+
+def _lemma_row(inst: LemmaInstance) -> tuple[bool, int, int, list[tuple[int, int]], int]:
+    """(holds, sign, c, terms, den): :func:`check_lemma`'s verdict, and its
+    margin (c + sum n*sqrt(r))/den, not made canonical, with its sign."""
     k = inst.k
     d = k * k + 4
+    gated = False  # L4's A/B parameters failed their gate
 
     if inst.lemma_id == "L0_limit":
         # f(q) < q^2 sqrt(d) + 1/sqrt(d): the sqrt(1+x) < 1 + x/2 shortcut
         q = inst.params.get("q", 1)
         if not _is_int(q) or q < 1:
             raise ValueError("q must be an integer >= 1")
-        margin = _radical(0, [(d, d * q * q + 2), (d * q * q + 4, -d * q)], 2 * d)
+        margin = 0, [(d, d * q * q + 2), (d * q * q + 4, -d * q)], 2 * d
     elif inst.lemma_id == "L1_case1":
         # k + 2 > sqrt(d) + 1/sqrt(d)
-        margin = _radical(d * (k + 2), [(d, -(d + 1))], d)
+        margin = d * (k + 2), [(d, -(d + 1))], d
     elif inst.lemma_id == "L2_caseH":
         # k + 1 + 2*[0;(k+1,1)] = (k^2 + k + sqrt(k^2+6k+5))/(k+1) > sqrt(d)
-        t = 1 / _purely_periodic_value((k + 1, 1))
-        v = t * 2 + (k + 1)
-        closed = QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5)
-        if (v - closed).sign() != 0:
+        v = 2 / _purely_periodic_value((k + 1, 1)) + (k + 1)
+        if v != QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5):
             raise ArithmeticError("closed form for the limit of H does not match")
-        margin = _radical(v.a, [(v.d, v.b), (d, -v.c)], v.c)
+        margin = v.a, [(v.d, v.b), (d, -v.c)], v.c
     elif inst.lemma_id == "L3_odd_block":
         # k + [0; k-1, k+1] + [0;(k)] = (k^3 + 2k + 2 + k^2 sqrt(d))/(2k^2) > sqrt(d)
         v = alpha1(k) + k + Fraction(k + 1, k * k)
-        closed = QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d)
-        if (v - closed).sign() != 0:
+        if v != QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d):
             raise ArithmeticError("closed form for the odd-block limit does not match")
-        margin = _radical(v.a, [(v.d, v.b), (d, -v.c)], v.c)
+        margin = v.a, [(v.d, v.b), (d, -v.c)], v.c
     elif inst.lemma_id == "L4_AB_margin":
         # num/(s + sqrt(d)) = s - sqrt(d) > 0 for s = k + 1/k + 1/(k + 1/k)
         # = (k^4 + 3k^2 + 1)/(k^3 + k) and num = 1/k^2 + 1/(k + 1/k)^2
-        # = ((k^2 + 1)^2 + k^4)/(k^3 + k)^2
+        # = ((k^2 + 1)^2 + k^4)/(k^3 + k)^2; with s and num the numerators
+        # over sd = k^3 + k and sd^2, the display is 1/((s sd + sd^2 sqrt(d))/num)
         e = k * k + 1
         s, sd = k**4 + 3 * k * k + 1, k * e
-        displayed = _radical(e * e + k**4, [], sd * sd) * _radical(s, [(d, sd)], sd).inverse()
-        margin = _radical(s, [(d, -sd)], sd)
-        if (displayed - margin).sign() != 0:
+        displayed = _radical(s * sd, [(d, sd * sd)], e * e + k**4).inverse()
+        margin = s, [(d, -sd)], sd
+        if (displayed - _radical(*margin)).sign() != 0:
             raise ArithmeticError("pre-squared margin display does not match")
         for name in ("A", "B"):
             if name in inst.params:
                 b = Fraction(inst.params[name])
                 lo = Fraction(1, k)
                 if not (b + 1 / (k + b)) > (lo + 1 / (k + lo)):
-                    return False, margin
+                    gated = True
+                    break
     else:
         # final reduction cases: displayed ratio > 1/sqrt(d), with starred
         # convergent denominators taken from [0;(k)]
@@ -526,9 +536,11 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
         n, dw = y * y - q1 * q1 * d, d * w
         if n < 0:  # the denominator d N must be positive
             n, dw = -n, -dw
-        margin = _radical(dw * (a * y - b * q1 * d), [(d, dw * (b * y - a * q1) - n)], d * n)
+        margin = dw * (a * y - b * q1 * d), [(d, dw * (b * y - a * q1) - n)], d * n
 
-    return margin.sign() > 0, margin
+    c, terms, den = margin
+    sign = _sign(c, terms)
+    return sign > 0 and not gated, sign, c, terms, den
 
 
 def f_monotone_check(k: int, samples: int) -> bool:

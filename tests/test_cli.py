@@ -88,19 +88,34 @@ def test_lemmas_range():
 
 
 def test_lemmas_sign_each_margin_once(monkeypatch):
+    # each row's sign is taken once, from its margin's integers
     signed = []
-    sign = exact.RadicalSum.sign
+    sign = verify._sign
 
-    def recording(self):
-        signed.append(self)  # kept alive, so ids stay distinct
-        return sign(self)
+    def recording(c, terms):
+        signed.append(sign(c, terms))
+        return signed[-1]
 
-    monkeypatch.setattr(exact.RadicalSum, "sign", recording)
+    monkeypatch.setattr(verify, "_sign", recording)
     code, out = run_cli(["lemmas", "--k-range", "1..4", "--depth", "2"])
     assert code == 0
-    ids = [id(m) for m in signed]
-    assert len(ids) == len(set(ids))
-    assert len(out.splitlines()) <= len(ids)
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["margin_sign"] for r in rows] == signed
+
+
+def test_lemmas_rows_equal_check_lemma():
+    # the CLI renders each row from _lemma_row's integers, not made
+    # canonical; check_lemma's canonical RadicalSum must give the same row
+    for depth in range(1, 7):
+        code, out = run_cli(["lemmas", "--k-range", "1..60", "--depth", str(depth)])
+        assert code == (1 if depth % 2 else 0)
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 60 * 10 - 5  # R2 needs k >= 3, R3..R5 k >= 2
+        for r in rows:
+            params = {"depth": depth} if r["depth"] is not None else {}
+            holds, margin = verify.check_lemma(verify.LemmaInstance(r["lemma"], r["k"], params))
+            got = (r["holds"], r["margin_sign"], r["margin_decimal_50"])
+            assert got == (holds, margin.sign(), margin.decimal(50)), (r["lemma"], r["k"], depth)
 
 
 def test_lemmas_exit_1_on_failing_case():
@@ -185,7 +200,7 @@ def test_expand_dec_has_no_exact_value():
 @pytest.mark.parametrize(
     "target, argv, exc",
     [
-        ("check_lemma", ["lemmas", "--k-range", "2..2"], ArithmeticError("closed form")),
+        ("_lemma_row", ["lemmas", "--k-range", "2..2"], ArithmeticError("closed form")),
         (
             "verify_bound_scan",
             ["verify", "surd:(1+1*sqrt(5))/2", "--bound", "hurwitz", "--n", "3"],

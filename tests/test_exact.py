@@ -688,6 +688,47 @@ def test_decimal_rounds_half_to_even(case):
     assert (_hidden_square_zero() + x).decimal(significant) == expected
 
 
+@st.composite
+def _unreduced_forms(draw):
+    """(significant, canonical, (c, terms, den)): one value as a canonical
+    RadicalSum and as integers with a common factor f, each term
+    n s sqrt(r) held unfolded as (s^2 r, n - m) plus (r, m s), so that
+    radicands repeat; a tie puts the value on a rounding midpoint, with
+    every term cancelled by (r, -n s)."""
+    significant = draw(st.integers(min_value=1, max_value=40))
+    drawn = draw(st.lists(
+        st.tuples(st.integers(2, 500), st.integers(-10**6, 10**6), st.integers(1, 40),
+                  st.integers(-10**6, 10**6)),
+        min_size=1, max_size=2,
+    ))
+    if draw(st.booleans()):  # a tie: (digits + 1/2) 10^e, radicals cancelling
+        digits = draw(st.integers(10 ** (significant - 1), 10**significant - 1))
+        x = (2 * digits + 1) * Fraction(10) ** draw(st.integers(-20, 20)) / 2
+        x *= draw(st.sampled_from([1, -1]))
+        c, den, cancel = x.numerator, x.denominator, True
+    else:
+        c, den, cancel = draw(st.integers(-10**40, 10**40)), draw(st.integers(1, 10**40)), False
+    exact_terms, terms = [], []
+    for r, n, sq, m in drawn:
+        exact_terms.append((r, n * sq))
+        terms += [(sq * sq * r, n - m), (r, m * sq)]
+        if cancel:
+            exact_terms.append((r, -n * sq))
+            terms.append((r, -n * sq))
+    f = draw(st.integers(1, 10**6))
+    unreduced = (f * c, [(r, f * n) for r, n in terms], f * den)
+    return significant, exact._radical(c, exact_terms, den), unreduced
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unreduced_forms())
+def test_decimal_of_unreduced_integers_equals_the_canonical_decimal(case):
+    significant, canonical, (c, terms, den) = case
+    for s in (1, -1):
+        got = exact._decimal(s * c, [(r, s * n) for r, n in terms], den, significant)
+        assert got == (canonical * s).decimal(significant)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=-(2**53), max_value=2**53).filter(bool),

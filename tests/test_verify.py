@@ -797,6 +797,16 @@ def test_lemma_rejects_non_denominators(lemma, params):
         check_lemma(LemmaInstance(lemma, 2, params))
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
+@pytest.mark.parametrize(
+    "lemma", ["L0_limit", "L1_case1", "L2_caseH", "L3_odd_block", "L4_AB_margin", "R1"]
+)
+def test_lemma_rejects_non_integer_k(lemma, k):
+    # as for q, depth and qstar, a float or a bool is not taken for an integer k
+    with pytest.raises(ValueError, match="k must be an integer"):
+        LemmaInstance(lemma, k)
+
+
 def test_L4_param_monotonicity_gate():
     holds, _ = check_lemma(LemmaInstance("L4_AB_margin", 2, {"A": Fraction(2, 3)}))
     assert holds
