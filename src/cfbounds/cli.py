@@ -25,6 +25,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec
 from .cf import (
@@ -267,6 +268,7 @@ def _csv_cell(v):
     return v
 
 
+@cache  # built on the first command, then reused by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfbounds",

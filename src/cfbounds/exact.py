@@ -114,9 +114,8 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-_SMALL_PRIMES = _sieve(10_000)
 # one gcd with this product finds every prime below 10^4 that divides n
-_PRIMORIAL = prod(_SMALL_PRIMES)
+_PRIMORIAL = prod(_sieve(10_000))
 
 _split_cache: dict[int, tuple[int, int]] = {}
 
@@ -124,12 +123,15 @@ _split_cache: dict[int, tuple[int, int]] = {}
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n = s*s*k with k free of squares of primes below 10^4.
 
-    Perfect squares are recognized at any size; a square factor p*p with
-    p > 10^4 hidden inside a non-square composite is left in k (for example
-    5*4010488^2 + 4, a multiple of 10007^2).  Such a hidden square affects
-    only equality and hashing, which compare representations; the sign of a
-    RadicalSum stays exact, because its separation bound also holds for
-    radicands that are not squarefree (see :func:`_zero_bits`).
+    Perfect squares are recognized at any size.  Otherwise each pass of a
+    gcd ladder takes one power of each prime below 10^4 left in m (first n)
+    out of m, sends those with no more power to k and the next power of the
+    rest to s; what is left of m goes to s or k whole.  So a square p*p,
+    p > 10^4, hidden in a non-square composite stays in k (for example
+    5*4010488^2 + 4, a multiple of 10007^2).  That affects only equality and
+    hashing, which compare representations; the sign of a RadicalSum stays
+    exact, because its separation bound also holds for radicands that are
+    not squarefree (see :func:`_zero_bits`).
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
@@ -140,29 +142,17 @@ def square_free_split(n: int) -> tuple[int, int]:
     if r * r == n:
         result = (r, 1)
     else:
-        s, k, m = 1, 1, n
-        g = gcd(n, _PRIMORIAL)  # the product of the primes below 10^4 dividing n
-        primes = iter(_SMALL_PRIMES)
+        s, k, m, g = 1, 1, n, gcd(n, _PRIMORIAL)
         while g > 1:
-            p = next(primes)
-            if p * p > g:
-                p = g  # no prime up to sqrt(g) divides g, so g is prime
-            elif g % p:
-                continue
-            g //= p
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e >> 1)
-            if e & 1:
-                k *= p
-        if m > 1:
-            r = isqrt(m)
-            if r * r == m:
-                s *= r
-            else:
-                k *= m
+            m //= g
+            h = gcd(m, g)  # the primes of g with another power in m
+            k, s, m = k * (g // h), s * h, m // h
+            g = gcd(m, h)
+        r = isqrt(m)
+        if r * r == m:
+            s *= r
+        else:
+            k *= m
         result = (s, k)
     if len(_split_cache) < 1 << 16:
         _split_cache[n] = result
@@ -471,7 +461,7 @@ class RadicalSum(_Frozen):
         return self.inverse() * other
 
     def inverse(self) -> "RadicalSum":
-        """Exact reciprocal, by clearing one radical prime at a time."""
+        """Exact reciprocal, by clearing one split element at a time."""
         num = RadicalSum._make(1, (), 1)
         den = self
         guard = 0
@@ -479,11 +469,10 @@ class RadicalSum(_Frozen):
             guard += 1
             if guard > 64:
                 raise UnsupportedExpressionError("cannot rationalize denominator")
-            p = _pick_split_prime([r for r, _ in den._t])
+            b = _pick_split_prime([r for r, _ in den._t])
             # the conjugate scaled by den.den; the scale cancels in num/den
-            conj = RadicalSum._make(
-                den._c, [(r, -n if r % p == 0 else n) for r, n in den._t], 1
-            )
+            flip = [(r, -n if r % b == 0 else n) for r, n in den._t]
+            conj = RadicalSum._make(den._c, flip, 1)
             num *= conj
             den *= conj
         if den._c == 0:
@@ -543,16 +532,17 @@ def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant
 
 
 def _pick_split_prime(rads: list[int]) -> int:
-    """A prime dividing one of the sorted radicands ``rads``."""
+    """A split element b > 1 of the sorted radicands: the primes below 10^4
+    of the first one with any, else rads[0], cut to each proper gcd(b, r),
+    so b | r or gcd(b, r) = 1.  For a prime p | b, flipping the terms with
+    b | r is then sqrt(p) -> -sqrt(p), an automorphism when no radicand holds
+    p twice: one round clears b (cfbench counts calls by this name as rounds)."""
+    b = next((g for g in (gcd(r, _PRIMORIAL) for r in rads) if g > 1), rads[0])
     for r in rads:
-        for p in _SMALL_PRIMES:
-            if p * p > r:
-                break
-            if r % p == 0:
-                return p
-    # smallest radicand is prime or a rough composite: splitting on the
-    # value itself is exact for prime r and for in-scope composites
-    return rads[0]
+        h = gcd(b, r)
+        if 1 < h < b:
+            b = h
+    return b
 
 
 def _round_pair(x: int, y: int, d: int, significant: int) -> tuple[int, int, int]:
@@ -678,9 +668,13 @@ def _format_decimal(neg: bool, digits: int, e: int, significant: int) -> str:
 class QuadSurd(_Frozen):
     """(a + b*sqrt(d))/c in canonical form.
 
-    Invariants: c >= 1, gcd(a, b, c) = 1, d squarefree, and d = 1 exactly
-    when b = 0 (the rational embedding).  Use :meth:`make` to construct;
-    the constructor stores its integers as given.
+    Invariants: c >= 1, gcd(a, b, c) = 1, d as :func:`square_free_split`
+    leaves it, and d = 1 exactly when b = 0 (the rational embedding).  Use
+    :meth:`make` to construct; the constructor stores its integers as given.
+    Arithmetic meets two radicands whose product is a square, as when one
+    hides a square p*p with p > 10^4, over their gcd; ``==`` and ``hash``
+    still compare representations, so such a pair can be equal as reals and
+    unequal as objects.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -735,23 +729,24 @@ class QuadSurd(_Frozen):
             return other
         return QuadSurd.from_rational(other)
 
-    def _common_d(self, other: "QuadSurd") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        raise MixedFieldError(f"sqrt({self.d}) and sqrt({other.d}) span different fields")
+    def _common_d(self, other: "QuadSurd") -> tuple[int, int, int]:
+        """(d, b, other_b): both surds over one radicand d."""
+        r, s = self.d, other.d
+        if r == s or not (self.b and other.b):  # a rational one has d = 1
+            return lcm(r, s), self.b, other.b
+        if isqrt(r * s) ** 2 == r * s:  # r/s is a square: a hidden square
+            g = gcd(r, s)
+            return g, self.b * isqrt(r // g), other.b * isqrt(s // g)
+        raise MixedFieldError(f"sqrt({r}) and sqrt({s}) span different fields")
 
     # -- field arithmetic
 
     def _add(self, other: "QuadSurd | Rational", sign: int) -> "QuadSurd":
         o = self._coerce(other)
-        d = self._common_d(o)
+        d, b, ob = self._common_d(o)
         return QuadSurd.make(
             self.a * o.c + sign * o.a * self.c,
-            self.b * o.c + sign * o.b * self.c,
+            b * o.c + sign * ob * self.c,
             self.c * o.c,
             d,
         )
@@ -772,10 +767,10 @@ class QuadSurd(_Frozen):
 
     def __mul__(self, other: "QuadSurd | Rational") -> "QuadSurd":
         o = self._coerce(other)
-        d = self._common_d(o)
+        d, b, ob = self._common_d(o)
         return QuadSurd.make(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
+            self.a * o.a + b * ob * d,
+            self.a * ob + b * o.a,
             self.c * o.c,
             d,
         )
@@ -784,12 +779,12 @@ class QuadSurd(_Frozen):
 
     def __truediv__(self, other: "QuadSurd | Rational") -> "QuadSurd":
         o = self._coerce(other)
-        d = self._common_d(o)
-        norm = o.a * o.a - o.b * o.b * d
+        d, b, ob = self._common_d(o)
+        norm = o.a * o.a - ob * ob * d
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")
         # self times 1/o = c*(a - b*sqrt(d))/norm, in one make
-        a, b = self.a * o.a - self.b * o.b * d, self.b * o.a - self.a * o.b
+        a, b = self.a * o.a - b * ob * d, b * o.a - self.a * ob
         return QuadSurd.make(o.c * a, o.c * b, self.c * norm, d)
 
     def __rtruediv__(self, other: Rational) -> "QuadSurd":

@@ -15,6 +15,7 @@ from cfbounds import cf, cli, exact, verify
 from cfbounds.cf import IdentityMismatch
 from cfbounds.cli import main
 from cfbounds.exact import QuadSurd, RadicalSum
+from cfbounds.specparse import parse_number
 from cfbounds.verify import classical_window_check
 from conftest import recording_g_enclosure
 
@@ -396,6 +397,58 @@ def test_csv_has_header():
     assert code == 0
     assert lines[0] == "input,command,n,p,q"
     assert len(lines) == 4
+
+
+def test_classify_equality_sees_through_a_hidden_square():
+    # alpha1(103) over 10007^2 * 10613: square_free_split keeps the square
+    code, out = run_cli(["classify-equality", "surd:(-1030721+1*sqrt(1062786340037))/20014",
+                         "--k", "103", "--n", "3"])
+    summary = json.loads(out.splitlines()[-1])
+    assert code == 0 and summary["equality_class"] == "alpha1"
+
+
+def _largest_prime_factor(n: int) -> int:
+    p = 2
+    while p * p <= n:
+        if n % p:
+            p += 1
+        else:
+            n //= p
+    return n
+
+
+# k whose k^2 + 4 has a prime factor above 10^4, so that a planted p^2 with
+# p > 10^4 stays hidden in the spec's radicand
+_ROUGH_K = [k for k in range(100, 300) if _largest_prime_factor(k * k + 4) > 10**4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(_ROUGH_K),
+    st.sampled_from([cf.alpha1, cf.alpha2]),
+    st.integers(-5, 5),
+    st.sampled_from([10007, 10009, 10037, 10039]),
+)
+def test_classify_equality_is_unmoved_by_a_planted_square(k, family, t, p):
+    x = family(k) + t
+    plain = f"surd:({x.a}{x.b:+d}*sqrt({x.d}))/{x.c}"
+    planted = f"surd:({x.a * p}{x.b:+d}*sqrt({x.d * p * p}))/{x.c * p}"
+    assert parse_number(planted).parsed.d == x.d * p * p  # the square stays hidden
+    summaries = []
+    for spec in (plain, planted):
+        code, out = run_cli(["classify-equality", spec, "--k", str(k), "--n", "3"])
+        assert code == 0
+        summary = json.loads(out.splitlines()[-1])
+        summaries.append((summary["equality_class"], summary["equal_indices"]))
+    assert summaries[0][0] == family.__name__
+    assert summaries[1] == summaries[0]
+
+
+def test_two_commands_build_one_parser():
+    cli.build_parser.cache_clear()
+    run_cli(["expand", "rat:10/7"])
+    run_cli(["expand", "rat:3/2"])
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_classify_csv_rows():

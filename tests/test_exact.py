@@ -5,11 +5,11 @@ import pickle
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfbounds import bounds, exact, verify
@@ -144,6 +144,68 @@ def test_product_difference_of_squares_is_structural_zero():
 def test_inverse_round_trip():
     r = RadicalSum(Fraction(3, 7), [(2, 5), (Fraction(-1, 3), 13)])
     assert (r * r.inverse() - 1).sign() == 0
+
+
+def _counting_rounds(mp: pytest.MonkeyPatch, limit: int = 8) -> list:
+    """Record each inverse round (one split-element call), and fail after
+    ``limit`` of them instead of looping on."""
+    rounds = []
+    pick = exact._pick_split_prime
+
+    def counted(rads):
+        rounds.append(rads)
+        if len(rounds) > limit:
+            raise AssertionError(f"inverse still running after {limit} rounds")
+        return pick(rads)
+
+    mp.setattr(exact, "_pick_split_prime", counted)
+    return rounds
+
+
+def test_inverse_ends_on_radicands_of_primes_above_10_4(monkeypatch):
+    # no radicand has a prime below 10^4: the split element starts at
+    # 10007*10009 and is cut to 10007 by its gcd with the next radicand
+    rounds = _counting_rounds(monkeypatch)
+    x = RadicalSum(1, [(1, 10007 * 10009), (1, 10007 * 10037), (1, 10009 * 10037)])
+    assert x * x.inverse() == RadicalSum(1)
+    assert len(rounds) <= 3
+
+
+_SPLIT_PRIMES = [2, 3, 10007, 10009, 10037, 10039]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-9, 9),
+    st.lists(
+        st.tuples(
+            st.integers(-9, 9).filter(bool),
+            st.sets(st.sampled_from(_SPLIT_PRIMES), min_size=1, max_size=3),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+def test_inverse_takes_at_most_one_round_per_prime(c, terms):
+    # squarefree radicands mixing primes below and above 10^4
+    x = RadicalSum(c, [(n, prod(ps)) for n, ps in terms])
+    assume(x != RadicalSum(0))
+    primes = {p for p in _SPLIT_PRIMES for _, r in x.terms if r % p == 0}
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = _counting_rounds(mp)
+        inv = x.inverse()
+    assert len(rounds) <= len(primes)
+    assert x * inv == RadicalSum(1)
+
+
+def test_inverse_with_a_small_prime_beside_a_square_of_a_large_one(monkeypatch):
+    _counting_rounds(monkeypatch)
+    x = RadicalSum(1, [(1, 2 * 10007**2), (1, 3 * 10007)])
+    assert x * x.inverse() == RadicalSum(1)
+    # in 2 * 10007^2 * 10009 the square 10007^2 stays hidden: the product is
+    # 1 in value, though not in representation, which equality compares
+    y = RadicalSum(1, [(1, 2 * 10007**2 * 10009), (1, 3 * 10007)])
+    assert (y * y.inverse() - 1).sign() == 0
 
 
 def test_decimal_matches_oracle():
@@ -879,6 +941,20 @@ def test_rational_surd_folds_to_d_one():
 def test_mixed_field_arithmetic_raises():
     with pytest.raises(MixedFieldError):
         QuadSurd.make(0, 1, 1, 2) + QuadSurd.make(0, 1, 1, 3)
+
+
+def test_surds_whose_radicands_differ_by_a_hidden_square_share_a_field():
+    # square_free_split leaves 10007^2 inside 10007^2 * 20018, 20018 = 2*10009
+    x, y = QuadSurd.make(0, 1, 1, 10007**2 * 20018), QuadSurd.make(0, 10007, 1, 20018)
+    assert x.d == 10007**2 * 20018 and y.d == 20018
+    assert x - y == QuadSurd.from_rational(0)
+    assert x * y == QuadSurd.from_rational(10007**2 * 20018)
+    assert (x + 1) / (y + 1) == QuadSurd.from_rational(1)
+    assert x / (y + 3) - 1 == QuadSurd.from_rational(-3) / (y + 3)
+    # equality compares representations, so the pair is unequal as objects
+    assert x != y
+    with pytest.raises(MixedFieldError):
+        x + QuadSurd.make(0, 1, 1, 3 * 20018)
 
 
 def test_floor_against_oracle(rng):
