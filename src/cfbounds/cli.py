@@ -26,6 +26,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec
 from .cf import (
@@ -47,6 +48,7 @@ from .verify import (
     LemmaInstance,
     _lemma_row,
     _scan,
+    _starred_q,
     classify_equality,
     classical_window_check,
     nathanson_applicable,
@@ -169,25 +171,21 @@ def _parse_k_range(text: str) -> range:
 
 
 def _cmd_lemmas(args) -> tuple[list[dict], bool]:
-    # each row is rendered from its margin's integers: no RadicalSum
+    # a row's sign and digits come from one decimal of its margin's integers,
+    # with no RadicalSum; R1..R5 share one (q*_j, q*_{j-1}) per k
     rows = []
     ok = True
     for k in args.k_range:
+        r_params = {"depth": args.depth, "qstar": _starred_q(k, args.depth)}
         for lemma in LEMMA_IDS:
             if k < _LEMMA_MIN_K.get(lemma, 1):
                 continue
-            depth = args.depth if lemma.startswith("R") else None
-            params = {} if depth is None else {"depth": depth}
-            holds, sign, c, terms, den = _lemma_row(LemmaInstance(lemma, k, params))
-            rows.append({
-                "command": "lemmas",
-                "lemma": lemma,
-                "k": k,
-                "depth": depth,
-                "holds": holds,
-                "margin_sign": sign,
-                "margin_decimal_50": _decimal(c, terms, den, 50),
-            })
+            params = r_params if lemma[0] == "R" else {}
+            gated, c, terms, den = _lemma_row(LemmaInstance(lemma, k, params))
+            sign, digits = _decimal(c, terms, den, 50)
+            holds = sign > 0 and not gated
+            rows.append({"command": "lemmas", "lemma": lemma, "k": k, "depth": params.get("depth"),
+                         "holds": holds, "margin_sign": sign, "margin_decimal_50": digits})
             ok = ok and holds
     return rows, ok
 
@@ -248,14 +246,26 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
 def _render(rows: list[dict], command: str, fmt: str) -> str:
     """Every output line of a command, as one string."""
     fields = _FIELDS[command]
-    if fmt == "jsonl":
-        return "".join(json.dumps({f: row.get(f) for f in fields}) + "\n" for row in rows)
+    if fmt == "jsonl":  # json.dumps({f: row.get(f) for f in fields}), field by field
+        heads = [(", " if i else "{") + json.dumps(f) + ": " for i, f in enumerate(fields)]
+        lines = []
+        for row in rows:
+            for h, f in zip(heads, fields):
+                v = row.get(f)
+                lines.append(h + _JSON_ENCODERS.get(type(v), json.dumps)(v))
+            lines.append("}\n")
+        return "".join(lines)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
         writer.writerow([_csv_cell(row.get(f)) for f in fields])
     return buf.getvalue()
+
+
+# the field encoder: values of these types as json.dumps writes them, others by json.dumps
+_JSON_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.get,
+                  bool: {True: "true", False: "false"}.get}
 
 
 def _csv_cell(v):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter
 
@@ -347,17 +348,20 @@ class RadicalSum(_Frozen):
         self._assign(*_fold(c0.numerator * (den // c0.denominator), ints), den)
 
     @classmethod
-    def _make(cls, const: int, pairs: Iterable[tuple[int, int]], den: int) -> "RadicalSum":
+    def _make(cls, const: int, pairs: list[tuple[int, int]] | tuple, den: int) -> "RadicalSum":
         """Trusted constructor: canonical radicands > 1 and den > 0."""
         obj = object.__new__(cls)
         obj._assign(const, pairs, den)
         return obj
 
-    def _assign(self, const: int, pairs: Iterable[tuple[int, int]], den: int) -> None:
-        acc: dict[int, int] = {}
-        for r, n in pairs:
-            acc[r] = acc.get(r, 0) + n
-        terms = tuple(sorted((r, n) for r, n in acc.items() if n))
+    def _assign(self, const: int, pairs: list[tuple[int, int]] | tuple, den: int) -> None:
+        if len(pairs) > 1:
+            acc: dict[int, int] = {}
+            for r, n in pairs:
+                acc[r] = acc.get(r, 0) + n
+            terms = tuple(sorted((r, n) for r, n in acc.items() if n))
+        else:  # nothing to merge or sort
+            terms = tuple(pairs) if pairs and pairs[0][1] else ()
         g = gcd(den, const, *[n for _, n in terms])
         if g != 1:
             const //= g
@@ -493,7 +497,7 @@ class RadicalSum(_Frozen):
 
     def decimal(self, significant: int = 50) -> str:
         """Correctly rounded decimal string (see :func:`_decimal`)."""
-        return _decimal(self._c, self._t, self.den, significant)
+        return _decimal(self._c, self._t, self.den, significant)[1]
 
     def __repr__(self) -> str:
         parts = [str(self.c0)] if self._c or not self._t else []
@@ -501,25 +505,26 @@ class RadicalSum(_Frozen):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant: int) -> str:
-    """Correctly rounded decimal string of (c + sum n*sqrt(r))/den, for
-    integers with den > 0 and r >= 1, with ``significant`` digits.
+def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant: int) -> tuple[int, str]:
+    """(sign, digits) of v = (c + sum n*sqrt(r))/den, for integers with
+    den > 0 and r >= 1: v's exact sign, and its correctly rounded decimal
+    string with ``significant`` digits.
 
-    Zero renders as "0"; everything else as d.dd...e<exp> (de<exp> for
+    Zero is (0, "0"); everything else renders as d.dd...e<exp> (de<exp> for
     one digit), rounded half to even; ``significant`` < 1 raises
-    ValueError.  The digits are rounded once from :func:`_enclose` of
-    the numerator at ``need`` bits: an enclosure at most m + 1 units wide
-    (m radical terms) of a value of at least 2^(need - 1) units, so its
-    width is below 2^-62 of a step in the last digit.  Endpoints that
+    ValueError.  Both come from one :func:`_enclose` of the numerator at
+    ``need`` bits, None where it proves v = 0: an enclosure at most m + 1
+    units wide (m radical terms) of a value of at least 2^(need - 1) units,
+    so its width is below 2^-62 of a step in the last digit.  Endpoints that
     round apart go to :func:`_settle`, with sign(|v| - tn/td) the exact sign
     of sign*c*td - tn*den + sum sign*n*td*sqrt(r); radicands may repeat.
     """
     if significant < 1:
         raise ValueError("significant must be >= 1")
-    need = (10**significant).bit_length() + len(terms).bit_length() + 64
+    need = _tens(significant)[1] + len(terms).bit_length() + 64
     enc = _enclose(c, terms, need)
     if enc is None:
-        return "0"
+        return 0, "0"
     sign, bits, lo, hi = enc
     if bits < 0:  # a sum of one sign above 2^need
         lo, hi, bits = lo << -bits, hi << -bits, 0
@@ -528,7 +533,7 @@ def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant
         a = _settle(e, a, b, significant, lambda t: _sign(
             sign * c * t.denominator - t.numerator * den,
             [(r, sign * n * t.denominator) for r, n in terms]))
-    return _format_decimal(sign < 0, a, e, significant)
+    return sign, _format_decimal(sign < 0, a, e, significant)
 
 
 def _pick_split_prime(rads: list[int]) -> int:
@@ -536,7 +541,10 @@ def _pick_split_prime(rads: list[int]) -> int:
     of the first one with any, else rads[0], cut to each proper gcd(b, r),
     so b | r or gcd(b, r) = 1.  For a prime p | b, flipping the terms with
     b | r is then sqrt(p) -> -sqrt(p), an automorphism when no radicand holds
-    p twice: one round clears b (cfbench counts calls by this name as rounds)."""
+    p twice: one round clears b (cfbench counts calls by this name as rounds).
+    A lone radicand is returned as it is: flipping it conjugates Q(sqrt(r))."""
+    if len(rads) == 1:
+        return rads[0]
     b = next((g for g in (gcd(r, _PRIMORIAL) for r in rads) if g > 1), rads[0])
     for r in rads:
         h = gcd(b, r)
@@ -574,7 +582,7 @@ def _round_pair(x: int, y: int, d: int, significant: int) -> tuple[int, int, int
             x, y = x << -t, y << -t
     else:
         d *= 10**-j
-    low = d * 10 ** (significant - 1)
+    low = d * _tens(significant)[2]
     while x < low:
         x, y, e = x * 10, y * 10, e - 1
     while x >= low * 10:
@@ -622,7 +630,7 @@ def _settle(e: int, a: int, b: int, significant: int, side: Callable[[Fraction],
     """
     if b - a > 1:
         raise ArithmeticError("decimal enclosure spans more than one last-digit step")
-    if a < 10**significant:
+    if a < _tens(significant)[0]:
         k = significant - 1 - e
         s = side(Fraction((2 * a + 1) * 10 ** max(0, -k), 2 * 10 ** max(0, k)))
         if s > 0 or (s == 0 and a & 1):
@@ -636,7 +644,7 @@ def _quotient_decimal(neg: bool, lo: tuple[int, int], hi: tuple[int, int], bits:
     with lo[0]/lo[1] <= |v|*2^bits <= hi[0]/hi[1] and |v| < 2.  Each end is
     rounded outward to about ``need`` bits before :func:`_round_pair` scales
     it; ends that round apart go to :func:`_settle`, with ``side`` as there."""
-    need = (10**significant).bit_length() + 64
+    need = _tens(significant)[1] + 64
     k = need + lo[1].bit_length() - lo[0].bit_length()
     x, y = (lo[0] << k) // lo[1], -((-hi[0] << k) // hi[1])
     # x >= 2^(need - 1) and |v| < 2, so bits + k >= need - 2
@@ -646,6 +654,13 @@ def _quotient_decimal(neg: bool, lo: tuple[int, int], hi: tuple[int, int], bits:
     return _format_decimal(neg, a, e, significant)
 
 
+@lru_cache(maxsize=8)
+def _tens(significant: int) -> tuple[int, int, int]:
+    """(10^significant, its bit length, 10^(significant - 1))."""
+    top = 10**significant
+    return top, top.bit_length(), top // 10
+
+
 def _round_half_even(n: int, d: int) -> int:
     q, r = divmod(n, d)
     return q + (2 * r > d or (2 * r == d and q & 1))
@@ -653,7 +668,7 @@ def _round_half_even(n: int, d: int) -> int:
 
 def _format_decimal(neg: bool, digits: int, e: int, significant: int) -> str:
     """-digits*10^(e - significant + 1) if neg, else +, as d.dd...e<exp>."""
-    if digits == 10**significant:  # rounding rolled over, e.g. 999->1000
+    if digits == _tens(significant)[0]:  # rounding rolled over, e.g. 999->1000
         digits //= 10
         e += 1
     ds = str(digits)
@@ -701,7 +716,7 @@ class QuadSurd(_Frozen):
             d = 1
         if c < 0:
             a, b, c = -a, -b, -c
-        g = gcd(gcd(abs(a), abs(b)), c)
+        g = gcd(a, b, c)
         return cls(a // g, b // g, c // g, d)
 
     @classmethod
@@ -742,6 +757,8 @@ class QuadSurd(_Frozen):
     # -- field arithmetic
 
     def _add(self, other: "QuadSurd | Rational", sign: int) -> "QuadSurd":
+        if isinstance(other, int):  # gcd(a + t c, b, c) = gcd(a, b, c) = 1: canonical
+            return QuadSurd(self.a + sign * other * self.c, self.b, self.c, self.d)
         o = self._coerce(other)
         d, b, ob = self._common_d(o)
         return QuadSurd.make(
@@ -808,16 +825,16 @@ class QuadSurd(_Frozen):
         return _sign_surd(self.a, self.b, self.d)
 
     def __lt__(self, other: "QuadSurd | Rational") -> bool:
-        return (self - self._coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other: "QuadSurd | Rational") -> bool:
-        return (self - self._coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: "QuadSurd | Rational") -> bool:
-        return (self - self._coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: "QuadSurd | Rational") -> bool:
-        return (self - self._coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __repr__(self) -> str:
         if self.b == 0:

@@ -33,7 +33,7 @@ from .cf import (
     _value,
 )
 from .exact import MixedFieldError, QuadSurd, RadicalSum, _Frozen, square_free_split
-from .exact import _enclose, _quotient_decimal, _radical, _sign
+from .exact import _enclose, _quotient_decimal, _radical, _sign, _tens
 
 __all__ = [
     "NumberInput",
@@ -131,7 +131,7 @@ class VerificationRecord(_Frozen):
             return "0"
         q = self.q
         enc, exact = self._tail[:2]
-        need = (10**significant).bit_length() + 64
+        need = _tens(significant)[1] + 64
 
         def side(mid: Fraction) -> int:
             # |margin| - mid has the sign of f |W| - mid q^2 G T
@@ -457,20 +457,21 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     with their closed forms as canonical QuadSurds, and L4's margin with its
     pre-squared display num/(s + sqrt(d)) through :meth:`RadicalSum.inverse`;
     a mismatch raises ArithmeticError (the CLI's exit 4).  The sign is
-    :func:`_sign` of the margin's integers, as :func:`_lemma_row` gives them
-    to the CLI, which renders rows with no RadicalSum.
+    :func:`_sign` of :func:`_lemma_row`'s integers; the CLI reads each row's
+    sign and digits off one :func:`exact._decimal` of them instead.
 
     ``k`` (see :class:`LemmaInstance`) and R's ``depth`` must be integers,
     and L0's ``q`` and R's ``qstar = (q1, q0)`` denominators, integers with
     q >= 1, q1 >= 1 and q0 >= 0, else ValueError; a bool is not an integer.
     """
-    holds, _, c, terms, den = _lemma_row(inst)
-    return holds, _radical(c, terms, den)
+    gated, c, terms, den = _lemma_row(inst)
+    return _sign(c, terms) > 0 and not gated, _radical(c, terms, den)
 
 
-def _lemma_row(inst: LemmaInstance) -> tuple[bool, int, int, list[tuple[int, int]], int]:
-    """(holds, sign, c, terms, den): :func:`check_lemma`'s verdict, and its
-    margin (c + sum n*sqrt(r))/den, not made canonical, with its sign."""
+def _lemma_row(inst: LemmaInstance) -> tuple[bool, int, list[tuple[int, int]], int]:
+    """(gated, c, terms, den): whether L4's A/B parameters failed their gate,
+    and the unsigned margin (c + sum n*sqrt(r))/den, not made canonical; the
+    instance holds when the margin is positive and it is not gated."""
     k = inst.k
     d = k * k + 4
     gated = False  # L4's A/B parameters failed their gate
@@ -507,13 +508,8 @@ def _lemma_row(inst: LemmaInstance) -> tuple[bool, int, int, list[tuple[int, int
         margin = s, [(d, -sd)], sd
         if (displayed - _radical(*margin)).sign() != 0:
             raise ArithmeticError("pre-squared margin display does not match")
-        for name in ("A", "B"):
-            if name in inst.params:
-                b = Fraction(inst.params[name])
-                lo = Fraction(1, k)
-                if not (b + 1 / (k + b)) > (lo + 1 / (k + lo)):
-                    gated = True
-                    break
+        gated = any(b + 1 / (k + b) <= Fraction(1, k) + 1 / (k + Fraction(1, k))
+                    for b in (Fraction(inst.params[n]) for n in ("A", "B") if n in inst.params))
     else:
         # final reduction cases: displayed ratio > 1/sqrt(d), with starred
         # convergent denominators taken from [0;(k)]
@@ -525,22 +521,24 @@ def _lemma_row(inst: LemmaInstance) -> tuple[bool, int, int, list[tuple[int, int
             raise ValueError("qstar must be integers with q1 >= 1 and q0 >= 0")
         # factor (a, b) stands for a + b sqrt(d); the ratio
         # w (a + b sqrt(d))/(Y + q1 sqrt(d)) lies in Q(sqrt(d))
-        (a, b), w = {
-            "R1": ((k + 2, -1), (k + 1) * q1 + q0),
-            "R2": ((2 - k, 1), q1 + q0),
-            "R3": ((2 - k, 1), (k - 1) * q1 + q0),
-            "R4": ((1 - k, 1), (2 * k - 1) * q1 + 2 * q0),
-            "R5": ((-k, 1), (2 * k - 1) * q1 + 2 * q0),
-        }[inst.lemma_id]
+        lemma = inst.lemma_id
+        if lemma == "R1":
+            a, b, w = k + 2, -1, (k + 1) * q1 + q0
+        elif lemma == "R2":
+            a, b, w = 2 - k, 1, q1 + q0
+        elif lemma == "R3":
+            a, b, w = 2 - k, 1, (k - 1) * q1 + q0
+        elif lemma == "R4":
+            a, b, w = 1 - k, 1, (2 * k - 1) * q1 + 2 * q0
+        else:
+            a, b, w = -k, 1, (2 * k - 1) * q1 + 2 * q0
         y = k * q1 + 2 * q0
         n, dw = y * y - q1 * q1 * d, d * w
         if n < 0:  # the denominator d N must be positive
             n, dw = -n, -dw
         margin = dw * (a * y - b * q1 * d), [(d, dw * (b * y - a * q1) - n)], d * n
 
-    c, terms, den = margin
-    sign = _sign(c, terms)
-    return sign > 0 and not gated, sign, c, terms, den
+    return (gated, *margin)
 
 
 def f_monotone_check(k: int, samples: int) -> bool:

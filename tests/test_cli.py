@@ -89,15 +89,17 @@ def test_lemmas_range():
 
 
 def test_lemmas_sign_each_margin_once(monkeypatch):
-    # each row's sign is taken once, from its margin's integers
+    # each row's sign and digits come from one enclosure of its margin's
+    # integers, None where it proves the margin zero
     signed = []
-    sign = verify._sign
+    enclose = exact._enclose
 
-    def recording(c, terms):
-        signed.append(sign(c, terms))
-        return signed[-1]
+    def recording(c, terms, need):
+        enc = enclose(c, terms, need)
+        signed.append(enc[0] if enc else 0)
+        return enc
 
-    monkeypatch.setattr(verify, "_sign", recording)
+    monkeypatch.setattr(exact, "_enclose", recording)
     code, out = run_cli(["lemmas", "--k-range", "1..4", "--depth", "2"])
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
@@ -234,19 +236,47 @@ def test_exit_4_when_decimal_endpoints_round_apart(monkeypatch, capsys):
 
 
 def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys):
-    # every line is rendered before any is written
-    dumps, rendered = json.dumps, []
+    # every line is rendered before any is written: the field encoder fails
+    # on the third row, after two whole rows (n, p and q are ints)
+    encode, encoded = cli._JSON_ENCODERS[int], []
 
-    def failing(row):
-        rendered.append(row)
-        if len(rendered) == 3:
+    def failing(value):
+        encoded.append(value)
+        if len(encoded) == 7:
             raise ValueError("cannot render")
-        return dumps(row)
+        return encode(value)
 
-    monkeypatch.setattr(cli.json, "dumps", failing)
+    monkeypatch.setitem(cli._JSON_ENCODERS, int, failing)
     code, out = run_cli(["convergents", "rat:355/113", "--n", "2"])
-    assert code == 3 and out == "" and len(rendered) == 3
+    assert code == 3 and out == "" and encoded == [0, 3, 1, 1, 22, 7, 2]
     assert capsys.readouterr().err == "error: cannot render\n"
+
+
+_JSON_VALUES = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # quotes, controls, lone surrogates
+    st.integers(),
+    st.integers(4301, 4400).flatmap(lambda n: st.sampled_from([10**n + 7, -(10**n) - 7])),
+    st.sampled_from([True, False, None]),
+    st.lists(st.integers()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(cli._FIELDS)), st.data())
+def test_jsonl_lines_are_the_bytes_of_json_dumps(command, data):
+    # the field encoder writes what json.dumps writes for the whole row; ints
+    # above 4,300 digits need the limit that main lifts
+    fields = cli._FIELDS[command]
+    rows = data.draw(st.lists(st.dictionaries(st.sampled_from(fields), _JSON_VALUES), max_size=4))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = "".join(json.dumps({f: row.get(f) for f in fields}) + "\n" for row in rows)
+        assert cli._render(rows, command, "jsonl") == want
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_report_corpus(tmp_path):

@@ -198,6 +198,25 @@ def test_inverse_takes_at_most_one_round_per_prime(c, terms):
     assert x * inv == RadicalSum(1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(2, 10**6).filter(lambda m: isqrt(m) ** 2 != m),
+    st.sampled_from([1, 10007, 10009, 1000003]),
+)
+def test_inverse_of_one_radical_is_its_conjugate_in_one_round(c, n, m, p):
+    # a lone radicand is its own split element, also when it hides a square
+    # p*p with p > 10^4 that square_free_split cannot see
+    r = p * p * m
+    norm = c * c - n * n * r
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = _counting_rounds(mp)
+        inv = RadicalSum(c, [(n, r)]).inverse()
+    assert len(rounds) == 1
+    assert inv == RadicalSum(Fraction(c, norm), [(Fraction(-n, norm), r)])
+
+
 def test_inverse_with_a_small_prime_beside_a_square_of_a_large_one(monkeypatch):
     _counting_rounds(monkeypatch)
     x = RadicalSum(1, [(1, 2 * 10007**2), (1, 3 * 10007)])
@@ -788,7 +807,7 @@ def test_decimal_of_unreduced_integers_equals_the_canonical_decimal(case):
     significant, canonical, (c, terms, den) = case
     for s in (1, -1):
         got = exact._decimal(s * c, [(r, s * n) for r, n in terms], den, significant)
-        assert got == (canonical * s).decimal(significant)
+        assert got == ((canonical * s).sign(), (canonical * s).decimal(significant))
 
 
 @settings(max_examples=200, deadline=None)
