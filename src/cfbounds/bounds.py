@@ -68,8 +68,9 @@ class BoundSpec(_Frozen):
         if kind in _NEEDS_K:
             if k is None or k < 1:
                 raise ValueError(f"bound {kind!r} requires k >= 1")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "k", k)
+        set_kind, set_k = self._setters
+        set_kind(self, kind)
+        set_k(self, k)
 
 
 def f_value(k: int, q: int) -> RadicalSum:

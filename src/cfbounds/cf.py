@@ -67,9 +67,10 @@ class CFExpansion(_Frozen):
                 raise ValueError("partial quotients in period must be >= 1")
         elif head and head[-1] == 1:
             raise ValueError("finite expansion must not end in 1")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "period", period)
+        set_a0, set_head, set_period = self._setters
+        set_a0(self, a0)
+        set_head(self, head)
+        set_period(self, period)
 
     @property
     def is_finite(self) -> bool:
@@ -114,9 +115,10 @@ class Convergent(_Frozen):
     __slots__ = ("n", "p", "q")
 
     def __init__(self, n: int, p: int, q: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        set_n, set_p, set_q = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_q(self, q)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.p, self.q)

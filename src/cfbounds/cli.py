@@ -45,7 +45,6 @@ from .verify import (
     _LEMMA_MIN_K,
     _OUTCOMES,
     _WINDOW_RULES,
-    LemmaInstance,
     _lemma_row,
     _scan,
     _starred_q,
@@ -97,22 +96,20 @@ def _applicable(value, bound: str, k) -> bool:
     return not isinstance(value, Fraction) and (bound not in _NEEDS_K or nathanson_applicable(value, k))
 
 
-def _detail_rows(base: dict, records) -> list[dict]:
+def _detail_rows(head: tuple, records, tail: tuple = ()) -> list[tuple]:
+    """A row head + (n, p, q, outcome, margin_sign, margin_decimal_50) + tail per record."""
     return [
-        {
-            **base, "type": "detail", "n": r.n, "p": r.p, "q": r.q,
-            "outcome": _OUTCOMES[r.margin_sign].value, "margin_sign": r.margin_sign,
-            "margin_decimal_50": r.margin_decimal(50),
-        }
+        (*head, r.n, r.p, r.q, _OUTCOMES[r.margin_sign].value, r.margin_sign, r.margin_decimal(50), *tail)
         for r in records
     ]
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (rows, ok)
+# command implementations; each returns (rows, ok), every row a tuple of
+# its command's _FIELDS values in order
 
 
-def _cmd_expand(args) -> tuple[list[dict], bool]:
+def _cmd_expand(args) -> tuple[list[tuple], bool]:
     spec = parse_number(args.number)
     x = _parsed_value(spec)
     if isinstance(x, CFExpansion):  # a cf: spec is canonical already
@@ -120,46 +117,36 @@ def _cmd_expand(args) -> tuple[list[dict], bool]:
     else:
         value = _value(x)
         cf = expand_rational(value) if isinstance(value, Fraction) else expand_surd(value)
-    row = {
-        "input": render(spec),
-        "command": "expand",
-        "cf": cf.render(),
-        "exact": render(value) if spec.is_exact else None,
-    }
+    row = (render(spec), "expand", cf.render(), render(value) if spec.is_exact else None)
     return [row], True
 
 
-def _cmd_convergents(args) -> tuple[list[dict], bool]:
+def _cmd_convergents(args) -> tuple[list[tuple], bool]:
     spec = parse_number(args.number)
-    rows = [
-        {"input": render(spec), "command": "convergents", "n": c.n, "p": c.p, "q": c.q}
-        for c in convergents(_parsed_value(spec), args.n)
-    ]
+    text = render(spec)
+    rows = [(text, "convergents", c.n, c.p, c.q) for c in convergents(_parsed_value(spec), args.n)]
     return rows, True
 
 
-def _cmd_verify(args) -> tuple[list[dict], bool]:
+def _cmd_verify(args) -> tuple[list[tuple], bool]:
     spec = parse_number(args.number)
     value = _exact_input(spec, "verify")
     records = verify_bound_scan(value, BoundSpec(args.bound, args.k), args.n)
-    base = {"input": render(spec), "command": "verify", "bound": args.bound, "k": args.k}
+    head = (render(spec), "verify", args.bound, args.k)
     ok = not _applicable(value, args.bound, args.k) or any(r.margin_sign <= 0 for r in records)
-    return _detail_rows(base, records), ok
+    return _detail_rows(head, records), ok
 
 
-def _cmd_classify(args) -> tuple[list[dict], bool]:
+def _cmd_classify(args) -> tuple[list[tuple], bool]:
     spec = parse_number(args.number)
     value = _exact_input(spec, "classify-equality")
     if isinstance(value, Fraction):
         raise SpecParseError("classify-equality needs an irrational input")
     records = verify_bound_scan(value, BoundSpec("refined_f", args.k), args.n)
-    base = {"input": render(spec), "command": "classify-equality", "k": args.k}
-    rows = _detail_rows(base, records)
-    rows.append({
-        **base, "type": "summary",
-        "equality_class": classify_equality(value, args.k),
-        "equal_indices": [r.n for r in records if r.margin_sign == 0],
-    })
+    text = render(spec)
+    rows = _detail_rows((text, "classify-equality", "detail", args.k), records, (None, None))
+    rows.append((text, "classify-equality", "summary", args.k, *[None] * 6,
+                 classify_equality(value, args.k), [r.n for r in records if r.margin_sign == 0]))
     return rows, True
 
 
@@ -170,40 +157,37 @@ def _parse_k_range(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def _cmd_lemmas(args) -> tuple[list[dict], bool]:
+def _cmd_lemmas(args) -> tuple[list[tuple], bool]:
     # a row's sign and digits come from one decimal of its margin's integers,
-    # with no RadicalSum; R1..R5 share one (q*_j, q*_{j-1}) per k
+    # with no RadicalSum and no LemmaInstance (every lemma and k here is one
+    # it admits); R1..R5 share one (q*_j, q*_{j-1}) per k
     rows = []
     ok = True
+    depth, plain = args.depth, {}
+    lemmas = [(lemma, _LEMMA_MIN_K.get(lemma, 1), lemma[0] == "R") for lemma in LEMMA_IDS]
     for k in args.k_range:
-        r_params = {"depth": args.depth, "qstar": _starred_q(k, args.depth)}
-        for lemma in LEMMA_IDS:
-            if k < _LEMMA_MIN_K.get(lemma, 1):
+        r_params = {"depth": depth, "qstar": _starred_q(k, depth)}
+        for lemma, min_k, is_r in lemmas:
+            if k < min_k:
                 continue
-            params = r_params if lemma[0] == "R" else {}
-            gated, c, terms, den = _lemma_row(LemmaInstance(lemma, k, params))
+            gated, c, terms, den = _lemma_row(lemma, k, r_params if is_r else plain)
             sign, digits = _decimal(c, terms, den, 50)
             holds = sign > 0 and not gated
-            rows.append({"command": "lemmas", "lemma": lemma, "k": k, "depth": params.get("depth"),
-                         "holds": holds, "margin_sign": sign, "margin_decimal_50": digits})
+            rows.append(("lemmas", lemma, k, depth if is_r else None, holds, sign, digits))
             ok = ok and holds
     return rows, ok
 
 
-def _cmd_classical(args) -> tuple[list[dict], bool]:
+def _cmd_classical(args) -> tuple[list[tuple], bool]:
     spec = parse_number(args.number)
     value = _exact_input(spec, "classical")
     if isinstance(value, Fraction):
         raise SpecParseError("classical window rules need an irrational input")
     holds = classical_window_check(value, args.rule, args.n)
-    row = {
-        "input": render(spec), "command": "classical",
-        "rule": args.rule, "n": args.n, "holds": holds,
-    }
-    return [row], holds
+    return [(render(spec), "classical", args.rule, args.n, holds)], holds
 
 
-def _cmd_report(args) -> tuple[list[dict], bool]:
+def _cmd_report(args) -> tuple[list[tuple], bool]:
     try:
         with open(args.corpus, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -225,41 +209,33 @@ def _cmd_report(args) -> tuple[list[dict], bool]:
         fails = signs.count(1)
         if applicable and fails == len(signs):
             ok = False
-        rows.append({
-            "input": render(spec),
-            "command": "report",
-            "type": "summary",
-            "bound": args.bound,
-            "k": args.k,
-            "n": args.n,
-            "applicable": applicable,
-            "holds_strict": signs.count(-1),
-            "holds_equal": signs.count(0),
-            "fails": fails,
-        })
+        rows.append((render(spec), "report", "summary", args.bound, args.k, args.n,
+                     applicable, signs.count(-1), signs.count(0), fails))
     return rows, ok
 
 
 # ---------------------------------------------------------------------------
 
 
-def _render(rows: list[dict], command: str, fmt: str) -> str:
-    """Every output line of a command, as one string."""
+def _render(rows: list[tuple], command: str, fmt: str) -> str:
+    """Every output line of a command, as one string; each row is a tuple of
+    the command's _FIELDS values in order."""
     fields = _FIELDS[command]
-    if fmt == "jsonl":  # json.dumps({f: row.get(f) for f in fields}), field by field
+    if fmt == "jsonl":  # json.dumps(dict(zip(fields, row))), field by field
         heads = [(", " if i else "{") + json.dumps(f) + ": " for i, f in enumerate(fields)]
+        encoder, dumps = _JSON_ENCODERS.get, json.dumps
         lines = []
         for row in rows:
-            for h, f in zip(heads, fields):
-                v = row.get(f)
-                lines.append(h + _JSON_ENCODERS.get(type(v), json.dumps)(v))
+            for h, v in zip(heads, row):
+                lines.append(h)
+                lines.append(encoder(type(v), dumps)(v))
             lines.append("}\n")
         return "".join(lines)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(f)) for f in fields])
+        writer.writerow([_csv_cell(v) for v in row])
     return buf.getvalue()
 
 

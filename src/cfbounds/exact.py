@@ -10,8 +10,9 @@ three value types:
   over one shared positive denominator.
 
 The sign of a RadicalSum with one radical term is decided by one integer
-comparison.  Every other sign and every decimal digit comes from one
-ladder, :func:`_enclose`, by integer directed rounding: with the value
+comparison, and its decimal digits come from one ``isqrt``
+(:func:`_surd_decimal`).  Every other sign and decimal digit comes from
+one ladder, :func:`_enclose`, by integer directed rounding: with the value
 scaled by its denominator and by 2^bits, every radical term is rounded
 outward to neighbouring integers with ``isqrt``.  A sum whose terms all
 have one sign takes one interval at the bits its digits need.  A
@@ -55,7 +56,8 @@ class _Frozen:
     ``hash`` and ``repr``.
 
     A subclass lists its fields in ``__slots__`` and sets each once in
-    ``__init__`` through ``object.__setattr__``.  Its key, :meth:`_key`, is
+    ``__init__`` through ``_setters``, the slots' own setters in slot order
+    (faster than ``object.__setattr__``).  Its key, :meth:`_key`, is
     the tuple of the slots not named with a leading underscore, read by one
     ``attrgetter`` that the class makes when it is defined: two
     instances are equal when they are of one class and their keys are
@@ -72,6 +74,7 @@ class _Frozen:
         get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        cls._setters = tuple(cls.__dict__[s].__set__ for s in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -101,8 +104,8 @@ class _Frozen:
 
 def _restore(cls: type, values: tuple) -> _Frozen:
     obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
+    for set_slot, value in zip(cls._setters, values):
+        set_slot(obj, value)
     return obj
 
 
@@ -360,16 +363,20 @@ class RadicalSum(_Frozen):
             for r, n in pairs:
                 acc[r] = acc.get(r, 0) + n
             terms = tuple(sorted((r, n) for r, n in acc.items() if n))
-        else:  # nothing to merge or sort
-            terms = tuple(pairs) if pairs and pairs[0][1] else ()
-        g = gcd(den, const, *[n for _, n in terms])
+            g = gcd(den, const, *[n for _, n in terms])
+        elif pairs and pairs[0][1]:  # nothing to merge or sort
+            terms = tuple(pairs)
+            g = gcd(den, const, pairs[0][1])
+        else:
+            terms, g = (), gcd(den, const)
         if g != 1:
             const //= g
             terms = tuple((r, n // g) for r, n in terms)
             den //= g
-        object.__setattr__(self, "_c", const)
-        object.__setattr__(self, "_t", terms)
-        object.__setattr__(self, "den", den)
+        set_c, set_t, set_den = self._setters
+        set_c(self, const)
+        set_t(self, terms)
+        set_den(self, den)
 
     def _key(self) -> tuple:
         return self._c, self._t, self.den
@@ -414,8 +421,13 @@ class RadicalSum(_Frozen):
             c, t, d = other.numerator, (), other.denominator
         den = lcm(self.den, d)
         u, v = den // self.den, sign * (den // d)
-        pairs = [(r, n * u) for r, n in self._t]
-        pairs += [(r, n * v) for r, n in t]
+        one = _one_radicand(self._t, t)
+        if one:
+            r, n1, n2 = one
+            pairs = [(r, n1 * u + n2 * v)]
+        else:
+            pairs = [(r, n * u) for r, n in self._t]
+            pairs += [(r, n * v) for r, n in t]
         return RadicalSum._make(self._c * u + c * v, pairs, den)
 
     def __add__(self, other: "RadicalSum | Rational") -> "RadicalSum":
@@ -437,6 +449,10 @@ class RadicalSum(_Frozen):
             f = _rational(other)
             return self._scale(f.numerator, f.denominator)
         c1, c2 = self._c, other._c
+        one = _one_radicand(self._t, other._t)
+        if one:  # (c1 + n1 sqrt(r))(c2 + n2 sqrt(r)): n1 n2 r joins the constant
+            r, n1, n2 = one
+            return RadicalSum._make(c1 * c2 + n1 * n2 * r, [(r, c1 * n2 + c2 * n1)], self.den * other.den)
         const = c1 * c2
         pairs = [(r, n * c2) for r, n in self._t]
         pairs += [(r, n * c1) for r, n in other._t]
@@ -466,7 +482,7 @@ class RadicalSum(_Frozen):
 
     def inverse(self) -> "RadicalSum":
         """Exact reciprocal, by clearing one split element at a time."""
-        num = RadicalSum._make(1, (), 1)
+        num = None  # the product of the conjugates taken so far
         den = self
         guard = 0
         while den._t:
@@ -477,11 +493,11 @@ class RadicalSum(_Frozen):
             # the conjugate scaled by den.den; the scale cancels in num/den
             flip = [(r, -n if r % b == 0 else n) for r, n in den._t]
             conj = RadicalSum._make(den._c, flip, 1)
-            num *= conj
+            num = conj if num is None else num * conj
             den *= conj
         if den._c == 0:
             raise ZeroDivisionError("division by zero RadicalSum")
-        return num._scale(den.den, den._c)
+        return (num or RadicalSum._make(1, (), 1))._scale(den.den, den._c)
 
     # -- sign machinery
 
@@ -505,6 +521,20 @@ class RadicalSum(_Frozen):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _one_radicand(t1: tuple, t2: tuple) -> tuple[int, int, int] | None:
+    """(r, n1, n2) when the term tuples t1 and t2 hold at most one term each,
+    over one radicand r, with n = 0 for a missing term (and r = 1 when
+    both are empty); else None."""
+    if len(t1) > 1 or len(t2) > 1:
+        return None
+    if not t2:
+        return (*t1[0], 0) if t1 else (1, 0, 0)
+    ((r, n2),) = t2
+    if not t1:
+        return r, 0, n2
+    return (r, t1[0][1], n2) if t1[0][0] == r else None
+
+
 def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant: int) -> tuple[int, str]:
     """(sign, digits) of v = (c + sum n*sqrt(r))/den, for integers with
     den > 0 and r >= 1: v's exact sign, and its correctly rounded decimal
@@ -512,15 +542,23 @@ def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant
 
     Zero is (0, "0"); everything else renders as d.dd...e<exp> (de<exp> for
     one digit), rounded half to even; ``significant`` < 1 raises
-    ValueError.  Both come from one :func:`_enclose` of the numerator at
-    ``need`` bits, None where it proves v = 0: an enclosure at most m + 1
-    units wide (m radical terms) of a value of at least 2^(need - 1) units,
-    so its width is below 2^-62 of a step in the last digit.  Endpoints that
-    round apart go to :func:`_settle`, with sign(|v| - tn/td) the exact sign
-    of sign*c*td - tn*den + sum sign*n*td*sqrt(r); radicands may repeat.
+    ValueError.  One radical term over a radicand that is not a square
+    takes :func:`_surd_decimal`, exact from one ``isqrt`` by a floor
+    identity and an exponent estimate within one of e (both proved there).
+    Otherwise both come from one
+    :func:`_enclose` of the numerator at ``need`` bits, None where it
+    proves v = 0: an enclosure at most m + 1 units wide (m radical terms)
+    of a value of at least 2^(need - 1) units, so its width is below 2^-62
+    of a step in the last digit.  Endpoints that round apart go to
+    :func:`_settle`, with sign(|v| - tn/td) the exact sign of
+    sign*c*td - tn*den + sum sign*n*td*sqrt(r); radicands may repeat.
     """
     if significant < 1:
         raise ValueError("significant must be >= 1")
+    if len(terms) == 1:
+        ((r, n),) = terms
+        if n and isqrt(r) ** 2 != r:
+            return _surd_decimal(c, n, r, den, significant)
     need = _tens(significant)[1] + len(terms).bit_length() + 64
     enc = _enclose(c, terms, need)
     if enc is None:
@@ -534,6 +572,78 @@ def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant
             sign * c * t.denominator - t.numerator * den,
             [(r, sign * n * t.denominator) for r, n in terms]))
     return sign, _format_decimal(sign < 0, a, e, significant)
+
+
+# log10(2) between these two integers over 10^16
+_LOG10_2 = (3010299956639811, 3010299956639812)
+
+
+def _surd_decimal(c: int, n: int, r: int, den: int, significant: int) -> tuple[int, str]:
+    """:func:`_decimal` of v = (c + n*sqrt(r))/den, for integers with n != 0,
+    den > 0 and r > 1 not a square, from one ``isqrt``.
+
+    v is irrational, so nonzero.  Its sign is sign(n) when c = 0 or c has
+    n's sign; else the two cancel, and it is sign(c)*sign(N) for
+    N = c^2 - n^2 r, nonzero.
+
+    The exponent e of |v| (10^e <= |v| < 10^(e + 1)) is estimated from bit
+    lengths bl, in half-bits.  2 log2 |c| lies in [2 bl(c) - 2, 2 bl(c)),
+    and 2 log2 (|n| sqrt(r)) in [hy - 3, hy) for hy = 2 bl(n) + bl(r) >= 4.
+    So M, the larger of |c| and |n| sqrt(r), has 2 log2 M in [lo, hi) with
+    lo = max(2 bl(c) - 2, hy - 3) (hy - 3 when c = 0) and hi =
+    max(2 bl(c), hy) <= lo + 3.  Let u = |c + n sqrt(r)|.  Without
+    cancellation u lies in [M, 2M].  With it, u = |N|/(|c| + |n| sqrt(r)),
+    and the divisor lies in [M, 2M].  Taking off 2 log2 den, in
+    [2 bl(den) - 2, 2 bl(den)), puts 2 log2 |v| in (h, h + 9) for
+    h = lo - 2 bl(den) without cancellation, h = 2 bl(N) - hi - 4 -
+    2 bl(den) with it.  Then e0 = floor(h log10(2)/2), with log10(2)
+    rounded down for h >= 0 and up for h < 0, is at most e, and e <= e0 + 2
+    as 9 log10(2)/2 < 1.36: the estimate e0 + 1 is within one of e (for
+    |h| below 10^15, where the rounding of log10(2) moves h log10(2)/2 by
+    less than 0.64).
+
+    The digits of |v| are the rounding of |v| 10^j, j = significant - 1 - e,
+    and with no ties (v is irrational) that is (Q + 1) >> 1 for
+    Q = floor(2 |v| 10^j).  For any real x and integers A and D > 0,
+    floor((A + x)/D) = floor((A + floor(x))/D): both are the largest
+    integer t with t D <= A + x, and t D - A is an integer.  So, with
+    j0 = significant - 1 - e0 and m = sign*n,
+
+        Q0 = floor(2 |v| 10^j0) = floor((A + floor(t sqrt(r)))/D),
+
+    A = 2 sign c 10^j0, t = 2 m 10^j0 and D = den when j0 >= 0, else
+    A = 2 sign c, t = 2 m and D = den 10^-j0; floor(t sqrt(r)) is
+    isqrt(t^2 r) for t > 0, else -isqrt(t^2 r) - 1, as t sqrt(r) is not an
+    integer.  floor(Q0/10) = floor(2 |v| 10^(j0 - 1)) drops a digit
+    exactly, so Q0 is divided by 10 until it lies below 2*10^significant,
+    at most twice, and then it is Q; a Q below 2*10^(significant - 1) would
+    break the bound above and raises ArithmeticError.
+    """
+    hc, hy = 2 * c.bit_length(), 2 * n.bit_length() + r.bit_length()
+    if c and (c > 0) != (n > 0):  # c and n*sqrt(r) cancel
+        big = c * c - n * n * r
+        sign = -1 if (c > 0) != (big > 0) else 1
+        h = 2 * big.bit_length() - (hc if hc > hy else hy) - 4
+    else:
+        sign = 1 if n > 0 else -1
+        h = hc - 2 if hc + 1 > hy else hy - 3
+    h -= 2 * den.bit_length()
+    e = h * _LOG10_2[h < 0] // (2 * 10**16)
+    j = significant - 1 - e
+    if j >= 0:
+        p = _pow10(j)
+        a, t = 2 * p * sign * c, 2 * p * sign * n
+    else:
+        a, t, den = 2 * sign * c, 2 * sign * n, den * _pow10(-j)
+    x = isqrt(t * t * r)
+    q = (a + (x if t > 0 else -x - 1)) // den
+    top = _tens(significant)[0]
+    while q >= 2 * top:
+        q //= 10
+        e += 1
+    if 5 * q < top:
+        raise ArithmeticError("decimal exponent estimate is off by more than one")
+    return sign, _format_decimal(sign < 0, (q + 1) >> 1, e, significant)
 
 
 def _pick_split_prime(rads: list[int]) -> int:
@@ -661,19 +771,25 @@ def _tens(significant: int) -> tuple[int, int, int]:
     return top, top.bit_length(), top // 10
 
 
+@lru_cache(maxsize=256)
+def _pow10(j: int) -> int:
+    return 10**j
+
+
 def _round_half_even(n: int, d: int) -> int:
     q, r = divmod(n, d)
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
 def _format_decimal(neg: bool, digits: int, e: int, significant: int) -> str:
-    """-digits*10^(e - significant + 1) if neg, else +, as d.dd...e<exp>."""
-    if digits == _tens(significant)[0]:  # rounding rolled over, e.g. 999->1000
-        digits //= 10
-        e += 1
+    """-digits*10^(e - significant + 1) if neg, else +, as d.dd...e<exp>, for
+    digits in [10^(significant - 1), 10^significant]."""
     ds = str(digits)
-    mantissa = f"{ds[0]}.{ds[1:]}" if significant > 1 else ds
-    return f"{'-' if neg else ''}{mantissa}e{e:+03d}"
+    if len(ds) > significant:  # rounding rolled over, e.g. 999->1000
+        ds, e = ds[:-1], e + 1
+    if significant > 1:
+        ds = f"{ds[0]}.{ds[1:]}"
+    return f"{'-' if neg else ''}{ds}e{e:+03d}"
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +811,11 @@ class QuadSurd(_Frozen):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        set_a, set_b, set_c, set_d = self._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        set_d(self, d)
 
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "QuadSurd":
@@ -717,7 +834,9 @@ class QuadSurd(_Frozen):
         if c < 0:
             a, b, c = -a, -b, -c
         g = gcd(a, b, c)
-        return cls(a // g, b // g, c // g, d)
+        if g != 1:
+            a, b, c = a // g, b // g, c // g
+        return cls(a, b, c, d)
 
     @classmethod
     def from_rational(cls, x: Rational) -> "QuadSurd":
@@ -759,12 +878,15 @@ class QuadSurd(_Frozen):
     def _add(self, other: "QuadSurd | Rational", sign: int) -> "QuadSurd":
         if isinstance(other, int):  # gcd(a + t c, b, c) = gcd(a, b, c) = 1: canonical
             return QuadSurd(self.a + sign * other * self.c, self.b, self.c, self.d)
-        o = self._coerce(other)
-        d, b, ob = self._common_d(o)
+        if not isinstance(other, QuadSurd):  # p/q: (a q + p c + b q sqrt(d))/(c q)
+            f = _rational(other)
+            p, q = sign * f.numerator, f.denominator
+            return QuadSurd.make(self.a * q + p * self.c, self.b * q, self.c * q, self.d)
+        d, b, ob = self._common_d(other)
         return QuadSurd.make(
-            self.a * o.c + sign * o.a * self.c,
-            b * o.c + sign * ob * self.c,
-            self.c * o.c,
+            self.a * other.c + sign * other.a * self.c,
+            b * other.c + sign * ob * self.c,
+            self.c * other.c,
             d,
         )
 
@@ -805,7 +927,13 @@ class QuadSurd(_Frozen):
         return QuadSurd.make(o.c * a, o.c * b, self.c * norm, d)
 
     def __rtruediv__(self, other: Rational) -> "QuadSurd":
-        return QuadSurd.from_rational(other) / self
+        # other*c*(a - b*sqrt(d))/(a^2 - b^2 d), in one make
+        f = _rational(other)
+        norm = self.a * self.a - self.b * self.b * self.d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero surd")
+        m = f.numerator * self.c
+        return QuadSurd.make(m * self.a, -m * self.b, f.denominator * norm, self.d)
 
     def __pow__(self, n: int) -> "QuadSurd":
         if n < 0:

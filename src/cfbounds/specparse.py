@@ -41,8 +41,9 @@ class DecPrefix(_Frozen):
         den = value.denominator
         if 10 ** den.bit_length() % den:
             raise ValueError(f"{value} has no finite decimal expansion")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "places", places)
+        set_value, set_places = self._setters
+        set_value(self, value)
+        set_places(self, places)
 
 
 ParsedValue = Fraction | QuadSurd | CFExpansion | DecPrefix
@@ -55,9 +56,10 @@ class NumberSpec(_Frozen):
     __slots__ = ("text", "kind", "parsed")
 
     def __init__(self, text: str, kind: str, parsed: ParsedValue):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parsed", parsed)
+        set_text, set_kind, set_parsed = self._setters
+        set_text(self, text)
+        set_kind(self, kind)
+        set_parsed(self, parsed)
 
     @property
     def is_exact(self) -> bool:

@@ -86,11 +86,12 @@ class VerificationRecord(_Frozen):
     __slots__ = ("n", "p", "q", "margin_sign", "_tail")
 
     def __init__(self, n: int, p: int, q: int, margin_sign: int, _tail: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "margin_sign", margin_sign)
-        object.__setattr__(self, "_tail", _tail)
+        set_n, set_p, set_q, set_sign, set_tail = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_q(self, q)
+        set_sign(self, margin_sign)
+        set_tail(self, _tail)
 
     @property
     def outcome(self) -> Outcome:
@@ -464,40 +465,55 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
     and L0's ``q`` and R's ``qstar = (q1, q0)`` denominators, integers with
     q >= 1, q1 >= 1 and q0 >= 0, else ValueError; a bool is not an integer.
     """
-    gated, c, terms, den = _lemma_row(inst)
+    lemma, params = inst.lemma_id, inst.params
+    if lemma == "L0_limit":
+        q = params.get("q", 1)
+        if not _is_int(q) or q < 1:
+            raise ValueError("q must be an integer >= 1")
+    elif lemma[0] == "R":
+        if not _is_int(params.get("depth", 1)):
+            raise ValueError("depth must be an integer")
+        if params.get("qstar"):
+            q1, q0 = params["qstar"]
+            if not (_is_int(q1) and _is_int(q0)) or q1 < 1 or q0 < 0:
+                raise ValueError("qstar must be integers with q1 >= 1 and q0 >= 0")
+    gated, c, terms, den = _lemma_row(lemma, inst.k, params)
     return _sign(c, terms) > 0 and not gated, _radical(c, terms, den)
 
 
-def _lemma_row(inst: LemmaInstance) -> tuple[bool, int, list[tuple[int, int]], int]:
-    """(gated, c, terms, den): whether L4's A/B parameters failed their gate,
-    and the unsigned margin (c + sum n*sqrt(r))/den, not made canonical; the
-    instance holds when the margin is positive and it is not gated."""
-    k = inst.k
+def _lemma_row(lemma: str, k: int, params: dict) -> tuple[bool, int, list[tuple[int, int]], int]:
+    """(gated, c, terms, den) of lemma at k: whether L4's A/B parameters
+    failed their gate, and the unsigned margin (c + sum n*sqrt(r))/den, not
+    made canonical; the instance holds when the margin is positive and it
+    is not gated.  Its arguments are trusted to be what
+    :func:`check_lemma` validates: a lemma of :data:`LEMMA_IDS`, an integer
+    k that it admits, and well-typed parameters (R's depth below 1 still
+    raises ValueError)."""
     d = k * k + 4
     gated = False  # L4's A/B parameters failed their gate
 
-    if inst.lemma_id == "L0_limit":
+    if lemma == "L0_limit":
         # f(q) < q^2 sqrt(d) + 1/sqrt(d): the sqrt(1+x) < 1 + x/2 shortcut
-        q = inst.params.get("q", 1)
-        if not _is_int(q) or q < 1:
-            raise ValueError("q must be an integer >= 1")
+        q = params.get("q", 1)
         margin = 0, [(d, d * q * q + 2), (d * q * q + 4, -d * q)], 2 * d
-    elif inst.lemma_id == "L1_case1":
+    elif lemma == "L1_case1":
         # k + 2 > sqrt(d) + 1/sqrt(d)
         margin = d * (k + 2), [(d, -(d + 1))], d
-    elif inst.lemma_id == "L2_caseH":
+    elif lemma == "L2_caseH":
         # k + 1 + 2*[0;(k+1,1)] = (k^2 + k + sqrt(k^2+6k+5))/(k+1) > sqrt(d)
         v = 2 / _purely_periodic_value((k + 1, 1)) + (k + 1)
         if v != QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5):
             raise ArithmeticError("closed form for the limit of H does not match")
         margin = v.a, [(v.d, v.b), (d, -v.c)], v.c
-    elif inst.lemma_id == "L3_odd_block":
+    elif lemma == "L3_odd_block":
         # k + [0; k-1, k+1] + [0;(k)] = (k^3 + 2k + 2 + k^2 sqrt(d))/(2k^2) > sqrt(d)
         v = alpha1(k) + k + Fraction(k + 1, k * k)
         if v != QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d):
             raise ArithmeticError("closed form for the odd-block limit does not match")
-        margin = v.a, [(v.d, v.b), (d, -v.c)], v.c
-    elif inst.lemma_id == "L4_AB_margin":
+        # over v's one radicand: sqrt(d) = s sqrt(v.d)
+        s = square_free_split(d)[0]
+        margin = v.a, [(v.d, v.b - s * v.c)], v.c
+    elif lemma == "L4_AB_margin":
         # num/(s + sqrt(d)) = s - sqrt(d) > 0 for s = k + 1/k + 1/(k + 1/k)
         # = (k^4 + 3k^2 + 1)/(k^3 + k) and num = 1/k^2 + 1/(k + 1/k)^2
         # = ((k^2 + 1)^2 + k^4)/(k^3 + k)^2; with s and num the numerators
@@ -509,19 +525,13 @@ def _lemma_row(inst: LemmaInstance) -> tuple[bool, int, list[tuple[int, int]], i
         if (displayed - _radical(*margin)).sign() != 0:
             raise ArithmeticError("pre-squared margin display does not match")
         gated = any(b + 1 / (k + b) <= Fraction(1, k) + 1 / (k + Fraction(1, k))
-                    for b in (Fraction(inst.params[n]) for n in ("A", "B") if n in inst.params))
+                    for b in (Fraction(params[n]) for n in ("A", "B") if n in params))
     else:
         # final reduction cases: displayed ratio > 1/sqrt(d), with starred
         # convergent denominators taken from [0;(k)]
-        depth = inst.params.get("depth", 1)
-        if not _is_int(depth):
-            raise ValueError("depth must be an integer")
-        q1, q0 = inst.params.get("qstar") or _starred_q(k, depth)
-        if not (_is_int(q1) and _is_int(q0)) or q1 < 1 or q0 < 0:
-            raise ValueError("qstar must be integers with q1 >= 1 and q0 >= 0")
+        q1, q0 = params.get("qstar") or _starred_q(k, params.get("depth", 1))
         # factor (a, b) stands for a + b sqrt(d); the ratio
         # w (a + b sqrt(d))/(Y + q1 sqrt(d)) lies in Q(sqrt(d))
-        lemma = inst.lemma_id
         if lemma == "R1":
             a, b, w = k + 2, -1, (k + 1) * q1 + q0
         elif lemma == "R2":

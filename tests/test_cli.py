@@ -89,21 +89,31 @@ def test_lemmas_range():
 
 
 def test_lemmas_sign_each_margin_once(monkeypatch):
-    # each row's sign and digits come from one enclosure of its margin's
-    # integers, None where it proves the margin zero
+    # each row's sign and digits come from one decision on its margin's
+    # integers: the one-radical routine, or else one enclosure (None where it
+    # proves the margin zero)
     signed = []
-    enclose = exact._enclose
+    enclose, surd_decimal = exact._enclose, exact._surd_decimal
 
-    def recording(c, terms, need):
+    def recording_enclose(c, terms, need):
         enc = enclose(c, terms, need)
-        signed.append(enc[0] if enc else 0)
+        signed.append(("enclose", enc[0] if enc else 0))
         return enc
 
-    monkeypatch.setattr(exact, "_enclose", recording)
+    def recording_surd_decimal(*args):
+        sign, digits = surd_decimal(*args)
+        signed.append(("surd", sign))
+        return sign, digits
+
+    monkeypatch.setattr(exact, "_enclose", recording_enclose)
+    monkeypatch.setattr(exact, "_surd_decimal", recording_surd_decimal)
     code, out = run_cli(["lemmas", "--k-range", "1..4", "--depth", "2"])
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [r["margin_sign"] for r in rows] == signed
+    assert [r["margin_sign"] for r in rows] == [sign for _, sign in signed]
+    # L0's and L2's margins hold two radicals; every other one holds one
+    assert [route for route, _ in signed] == [
+        "enclose" if r["lemma"] in ("L0_limit", "L2_caseH") else "surd" for r in rows]
 
 
 def test_lemmas_rows_equal_check_lemma():
@@ -264,15 +274,16 @@ _JSON_VALUES = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(cli._FIELDS)), st.data())
 def test_jsonl_lines_are_the_bytes_of_json_dumps(command, data):
-    # the field encoder writes what json.dumps writes for the whole row; ints
-    # above 4,300 digits need the limit that main lifts
+    # the field encoder writes what json.dumps writes for the whole row, a
+    # tuple of the command's field values in order; ints above 4,300 digits
+    # need the limit that main lifts
     fields = cli._FIELDS[command]
-    rows = data.draw(st.lists(st.dictionaries(st.sampled_from(fields), _JSON_VALUES), max_size=4))
+    rows = data.draw(st.lists(st.tuples(*[_JSON_VALUES] * len(fields)), max_size=4))
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        want = "".join(json.dumps({f: row.get(f) for f in fields}) + "\n" for row in rows)
+        want = "".join(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
         assert cli._render(rows, command, "jsonl") == want
     finally:
         if limit is not None:

@@ -529,7 +529,8 @@ def _mp_decimal(v: mpmath.mpf, significant: int) -> str:
         digits //= 10
         e += 1
     ds = str(digits)
-    return f"{sign}{ds[0]}.{ds[1:]}e{e:+03d}"
+    mantissa = f"{ds[0]}.{ds[1:]}" if significant > 1 else ds
+    return f"{sign}{mantissa}e{e:+03d}"
 
 
 def test_deep_cancellation_margins_match_oracle():
@@ -704,18 +705,76 @@ def test_decimal_settles_adjacent_ends_by_the_exact_sign(monkeypatch, below):
     # ends forced one digit apart, with the correctly rounded string as the
     # upper or the lower end, are settled by the exact sign of the value
     # minus their midpoint, for either sign of the value
+    # (a value with one radical takes exact rounding, with no ends to settle)
     values = [RadicalSum(0, [(1, 2), (-1, 3)]), RadicalSum(Fraction(1, 3), [(1, 5), (-2, 7)]),
-              RadicalSum.sqrt(7, Fraction(-2, 9)), RadicalSum(Fraction(-10, 7))]
+              RadicalSum(0, [(Fraction(-2, 9), 7), (Fraction(1, 5), 11)]), RadicalSum(Fraction(-10, 7))]
     values += [-v for v in values]
     expected = [RadicalSum(v.c0, v.terms).decimal(50) for v in values]
-    round_pair = exact._round_pair
+    round_pair, settle, settled = exact._round_pair, exact._settle, []
 
     def adjacent(x, y, d, significant):
         e, a, _ = round_pair(x, y, d, significant)
         return (e, a - 1, a) if below else (e, a, a + 1)
 
+    def recording(*args):
+        settled.append(args)
+        return settle(*args)
+
     monkeypatch.setattr(exact, "_round_pair", adjacent)
+    monkeypatch.setattr(exact, "_settle", recording)
     assert [v.decimal(50) for v in values] == expected
+    assert len(settled) == len(values)
+
+@st.composite
+def _one_radical_cases(draw):
+    """(c, n, r, den, significant) of (c + n sqrt(r))/den with r not a
+    square: anywhere, cancelling deeply (c within 3 of -n sqrt(r)), or at
+    10^55 and above, past the digits asked for."""
+    r = draw(st.integers(2, 10**12).filter(lambda r: isqrt(r) ** 2 != r))
+    n = draw(st.integers(-(10**30), 10**30).filter(bool))
+    kind = draw(st.sampled_from(["any", "cancel", "huge"]))
+    if kind == "cancel":
+        c = -isqrt(n * n * r) * (1 if n > 0 else -1) + draw(st.integers(-3, 3))
+    elif kind == "huge":
+        c = draw(st.sampled_from([1, -1])) * draw(st.integers(10**75, 10**90))
+    else:
+        c = draw(st.integers(-(10**40), 10**40))
+    den = draw(st.one_of(st.integers(1, 9), st.integers(1, 10**20)))
+    return c, n, r, den, draw(st.sampled_from([1, 2, 50]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_radical_cases(), st.integers(-(10**6), 10**6))
+@example((-3, 2, 2, 1, 50), 1)  # 2 sqrt(2) - 3 = -1/(3 + 2 sqrt(2))
+@example((0, 1, 99999999999, 1, 1), 5)  # sqrt(10^11 - 1) rounds up to 3e+05
+@example((10**80, -1, 2, 1, 1), 7)
+@example((3, -1, 2, 1, 50), 2)  # 3 - sqrt(2): a negative radical term
+def test_one_radical_decimal_is_exactly_rounded(case, m):
+    # the one-isqrt routine against mpmath at 150 digits past the
+    # cancellation, and against the enclosure path, taken by the same value
+    # with its radical split into two terms n - m and m over one radicand
+    c, n, r, den, significant = case
+    got = exact._surd_decimal(c, n, r, den, significant)
+    assert exact._decimal(c, [(r, n)], den, significant) == got
+    with mpmath.workdps(150 + 2 * len(str(abs(c) + abs(n) * r))):
+        v = (c + n * mpmath.sqrt(r)) / den
+        assert got == ((1 if v > 0 else -1), _mp_decimal(v, significant))
+    m = m if m not in (0, n) else n + 1
+    assert exact._decimal(c, [(r, n - m), (r, m)], den, significant) == got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**15), st.integers(-(10**20), 10**20).filter(bool),
+       st.integers(-(10**30), 10**30), st.integers(1, 10**20), st.sampled_from([1, 2, 50]))
+def test_one_radical_over_a_square_takes_the_enclosure(s, n, c, den, significant):
+    # (c + n sqrt(s^2))/den is rational, zero too: today's path rounds it
+    # half to even, with no call to the one-isqrt routine
+    x = Fraction(c + n * s, den)
+    want = (0, "0") if x == 0 else ((1 if x > 0 else -1), _fraction_decimal(x, significant))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_surd_decimal", None)
+        assert exact._decimal(c, [(s * s, n)], den, significant) == want
+
 
 def _fraction_decimal(x: Fraction, significant: int) -> str:
     """x rounded half to even to ``significant`` digits, in Fraction arithmetic."""
@@ -1027,6 +1086,22 @@ def test_pow_matches_repeated_multiplication():
     for n in range(6):
         assert (x**n - acc).sign() == 0
         acc = acc * x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_surd_parts, st.sampled_from([2, 3, 5, 8, 12, 50, 10007 * 3]), _huge_fraction)
+@example((0, 0, 7), 5, Fraction(2, 3))
+@example((3, 0, 2), 8, Fraction(-5, 7))
+def test_rational_over_a_surd_equals_dividing_its_surd(x, d, f):
+    # f / t takes one make; QuadSurd.from_rational(f) / t divides two surds
+    t = QuadSurd.make(*x, d)
+    if t.sign() == 0:
+        for r in (f, 1):
+            with pytest.raises(ZeroDivisionError):
+                r / t
+    else:
+        assert f / t == QuadSurd.from_rational(f) / t
+        assert 3 / t == QuadSurd.from_rational(3) / t
 
 
 def test_comparisons_are_exact():
