@@ -469,16 +469,11 @@ class RadicalSum(_Frozen):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "RadicalSum | Rational") -> "RadicalSum":
-        if isinstance(other, RadicalSum):
-            return self * other.inverse()
+    def __truediv__(self, other: Rational) -> "RadicalSum":
         f = _rational(other)
         if f == 0:
             raise ZeroDivisionError("division by zero")
         return self._scale(f.denominator, f.numerator)
-
-    def __rtruediv__(self, other: Rational) -> "RadicalSum":
-        return self.inverse() * other
 
     def inverse(self) -> "RadicalSum":
         """Exact reciprocal, by clearing one split element at a time."""
@@ -500,10 +495,6 @@ class RadicalSum(_Frozen):
         return (num or RadicalSum._make(1, (), 1))._scale(den.den, den._c)
 
     # -- sign machinery
-
-    def interval(self, bits: int) -> tuple[int, int]:
-        """Integers lo <= value*den*2^bits <= hi (see :func:`_interval`)."""
-        return _interval(self._c, self._t, bits)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1} (see :func:`_sign`)."""

@@ -122,8 +122,9 @@ class VerificationRecord(_Frozen):
         in one interval when its terms have one sign, as g's do, else by the
         ladder that the separation bound caps.  Ends that round to
         different strings are settled by the exact sign of f |W| - mid q^2 G
-        T, a RadicalSum product with no division, for the midpoint ``mid``
-        between them.
+        T, for the midpoint ``mid`` between them: :func:`exact._sign` of its
+        integers, with G T expanded term by term, whose radicands may repeat
+        or hold square parts, as :func:`exact._zero_bits` allows.
         """
         if significant < 1:
             raise ValueError("significant must be >= 1")
@@ -135,11 +136,14 @@ class VerificationRecord(_Frozen):
         need = _tens(significant)[1] + 64
 
         def side(mid: Fraction) -> int:
-            # |margin| - mid has the sign of f |W| - mid q^2 G T
-            (c, terms), g, t = exact or _exact_tail(q, *self._tail[2:])
-            w, gn, tn = _radical(c, terms), _radical(*g[:2]), _radical(*t[:2])
-            f = gcd(g[2], t[2])
-            return (w * (sign * f * mid.denominator) - gn * tn * (mid.numerator * q * q)).sign()
+            # |margin| - mid has the sign of a W - b G T, for a = sign f
+            # mid.den and b = mid.num q^2, with G T expanded term by term
+            (c, terms), (gc, gt, gd), (tc, tt, td) = exact or _exact_tail(q, *self._tail[2:])
+            a, b = sign * gcd(gd, td) * mid.denominator, mid.numerator * q * q
+            pairs = [(r, a * n) for r, n in terms]
+            pairs += [(r, -b * gc * n) for r, n in tt] + [(r, -b * tc * n) for r, n in gt]
+            pairs += [(r * u, -b * n * v) for r, n in gt for u, v in tt]
+            return _sign(a * c - b * gc * tc, [(r, n) for r, n in pairs if n])
 
         if enc is not None and need + 8 <= _B:
             tl, th = enc

@@ -1,5 +1,6 @@
 """Unit tests for the approximation-bound thresholds 1/(q^2 g(q))."""
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -166,6 +167,28 @@ def test_g_enclosure_lies_in_the_window_of_its_limit(kind):
         for q in qs:
             lo, hi = enc(q)
             assert lo_inf <= lo and hi <= hi_inf + (1 << bits) // (q * q), (kind, k, q)
+
+
+@pytest.mark.parametrize("bits", [8, 64, 320])
+def test_g_enclosure_pins_the_window_of_its_limit(bits):
+    # a scan reads its window from enc(1 << bits); these exact pairs fix it,
+    # so a drift cannot move rows between the filter and the exact path.
+    # With s = isqrt(g_inf^2 4^bits): (s, s + 2) past the cut where g
+    # depends on q, (s, s + 1) at every q for sqrt(5) and sqrt(k^2+4), and
+    # the exact g 2^bits for dirichlet and vahlen
+    edge = 1 << (bits // 2 + 1)
+    past = [edge, edge + 1, 1 << bits, 3**400]
+    every = list(range(1, 40)) + [edge - 1] + past
+    for k in range(1, 51):
+        d = k * k + 4
+        for kind, g_sq, width, qs in [
+            ("refined_f", d, 2, past), ("hancl_g", 5, 2, past), ("hancl_nair", 5, 2, past),
+            ("hurwitz", 5, 1, every), ("borel", 5, 1, every), ("nathanson", d, 1, every),
+            ("dirichlet", 1, 0, every), ("vahlen", 4, 0, every),
+        ]:
+            s = isqrt(g_sq << 2 * bits)
+            enc = g_enclosure(_spec(kind, k), bits)
+            assert [enc(q) for q in qs] == [(s, s + width)] * len(qs), (kind, k)
 
 
 def test_requires_k_for_parametric_bounds():

@@ -503,6 +503,39 @@ def test_classify_csv_rows():
     assert lines[-1] == "surd:(0+1*sqrt(2))/1,classify-equality,summary,2,,,,,,,alpha1,1;3"
 
 
+def _csv_rows(argv) -> tuple[int, list[dict]]:
+    code, out = run_cli(["--format", "csv", *argv])
+    lines = out.splitlines()
+    return code, [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def test_csv_writes_booleans_as_words_and_none_as_an_empty_cell(tmp_path):
+    # lemmas at k = 1, depth 1: R1 fails, the rest hold; only R rows have a depth
+    code, rows = _csv_rows(["lemmas", "--k-range", "1..1", "--depth", "1"])
+    assert code == 1 and len(rows) == 6
+    assert [(r["lemma"], r["holds"], r["depth"]) for r in rows] == [
+        ("L0_limit", "true", ""), ("L1_case1", "true", ""), ("L2_caseH", "true", ""),
+        ("L3_odd_block", "true", ""), ("L4_AB_margin", "true", ""), ("R1", "false", "1")]
+    # report without --k: k is None; a rational is not applicable
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("surd:(1+1*sqrt(5))/2\nrat:10/7\n")
+    code, rows = _csv_rows(["report", "--corpus", str(corpus), "--bound", "hurwitz", "--n", "5"])
+    assert code == 0
+    assert [(r["k"], r["applicable"]) for r in rows] == [("", "true"), ("", "false")]
+    code, rows = _csv_rows(["classical", "surd:(1+1*sqrt(5))/2", "--rule", "borel_triples", "--n", "6"])
+    assert code == 0 and [r["holds"] for r in rows] == ["true"]
+
+
+@pytest.mark.parametrize("text", ["5..2", "0..3", "1-3", "a..b", "1.."])
+def test_malformed_k_range_is_a_usage_error(text, capsys):
+    buf = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--k-range", text], out=buf)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and buf.getvalue() == "" and captured.out == ""
+    assert captured.err.endswith("error: argument --k-range: expected A..B with 1 <= A <= B\n")
+
+
 def test_reruns_are_byte_identical():
     argv = ["verify", "cf:[0;(2)]", "--bound", "refined_f", "--k", "2", "--n", "12"]
     assert run_cli(argv) == run_cli(argv)

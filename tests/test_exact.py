@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cfbounds import bounds, exact, verify
+from cfbounds import exact, verify
 from cfbounds.bounds import BoundSpec
 from cfbounds.cf import expand_surd
 from cfbounds.cli import main
@@ -271,7 +271,7 @@ def test_radical_sign_matches_oracle(c0, terms):
 )
 def test_interval_encloses_scaled_value(c0, terms, bits):
     r = RadicalSum(c0, terms)
-    lo, hi = r.interval(bits)
+    lo, hi = exact._interval(r._c, r._t, bits)
     # value * den * 2^bits from its exact integer parts; only the square roots round
     scale = r.den << bits
     with mpmath.workdps(250):
@@ -304,7 +304,7 @@ def test_one_radical_sign_matches_deciding_interval(r, n, n_sign, case, den):
     x = (t + c) / den
     bits = 64
     while True:
-        lo, hi = x.interval(bits)
+        lo, hi = exact._interval(x._c, x._t, bits)
         if lo > 0 or hi < 0:
             break
         bits *= 2
@@ -413,7 +413,7 @@ _NEAR_EXTREMAL = [
 
 @pytest.mark.parametrize("x", _NEAR_EXTREMAL, ids=range(len(_NEAR_EXTREMAL)))
 def test_zero_bits_interval_excludes_near_extremal_values(x):
-    lo, hi = x.interval(exact._zero_bits(x._c, x._t))
+    lo, hi = exact._interval(x._c, x._t, exact._zero_bits(x._c, x._t))
     assert lo > 0 or hi < 0
     _check_against_oracle(x, False)
 
@@ -424,7 +424,7 @@ def test_zero_bits_interval_excludes_nonzero_values(c, terms):
     x, is_zero = _planted(c, terms)
     if x.is_rational or is_zero:
         return
-    lo, hi = x.interval(exact._zero_bits(x._c, x._t))
+    lo, hi = exact._interval(x._c, x._t, exact._zero_bits(x._c, x._t))
     assert lo > 0 or hi < 0
 
 
@@ -913,15 +913,11 @@ def test_sign_and_decimal_agree_in_either_order_and_on_copies(c0, terms):
 
 def test_verify_takes_one_enclosure_per_margin(monkeypatch):
     # a row decided by the scan's filter builds no RadicalSum and takes no
-    # RadicalSum interval or decimal: its sign and digits come from fixed-size
+    # RadicalSum decimal: its sign and digits come from fixed-size
     # enclosures of g - T, g and T, so no isqrt operand of the scan or of the
     # rendering grows with depth
     calls = []
-    interval, decimal, assign = RadicalSum.interval, RadicalSum.decimal, RadicalSum._assign
-
-    def recording_interval(self, bits):
-        calls.append("interval")
-        return interval(self, bits)
+    decimal, assign = RadicalSum.decimal, RadicalSum._assign
 
     def recording_decimal(self, significant=50):
         calls.append("decimal")
@@ -932,19 +928,18 @@ def test_verify_takes_one_enclosure_per_margin(monkeypatch):
         return assign(self, *args)
 
     argv = ["verify", "surd:(3+2*sqrt(7))/5", "--bound", "refined_f", "--k", "2", "--n", "200"]
-    monkeypatch.setattr(RadicalSum, "interval", recording_interval)
     monkeypatch.setattr(RadicalSum, "decimal", recording_decimal)
     monkeypatch.setattr(RadicalSum, "_assign", recording_assign)
     assert main(argv, out=io.StringIO()) == 0
     widest = {}
     for n in (200, 1600):
         sizes = []
-        for module in (exact, bounds, verify):
+        for module in (exact, verify):
             monkeypatch.setattr(module, "isqrt", lambda v: sizes.append(v.bit_length()) or isqrt(v))
         records = verify_bound_scan(QuadSurd.make(3, 2, 5, 7), BoundSpec("refined_f", 2), n)
         for r in records:
             r.margin_decimal(50)
-        for module in (exact, bounds, verify):
+        for module in (exact, verify):
             monkeypatch.setattr(module, "isqrt", isqrt)
         widest[n] = max(sizes)
     monkeypatch.undo()

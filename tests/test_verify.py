@@ -319,22 +319,23 @@ def test_tail_digits_are_rounded_from_an_enclosure_of_the_margin(monkeypatch):
 def test_margin_decimal_defers_adjacent_ends_to_the_canonical_decimal(monkeypatch):
     # ends that round one digit apart leave the choice to the exact sign of
     # f |W| - mid q^2 G T, which finds the right string on either side of
-    # the midpoint without rendering any RadicalSum
+    # the midpoint from integers alone: one exact sign, no RadicalSum
     records = [r for spec in (BoundSpec("refined_f", 2), BoundSpec("hancl_nair"))
                for x, n in ((QuadSurd.make(3, 2, 5, 7), 60), (Fraction(355, 113), 2))
                for r in verify_bound_scan(x, spec, n)]
     expected = [r.margin_decimal(50) for r in records]
-    round_pair, decimal, sign = exact._round_pair, RadicalSum.decimal, RadicalSum.sign
-    calls = {"decimal": 0, "sign": 0}
+    round_pair = exact._round_pair
+    calls = {"_assign": 0, "decimal": 0, "sign": 0}
 
     def counting(name, fn):
-        def wrapper(self, *args):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(self, *args)
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(RadicalSum, "decimal", counting("decimal", decimal))
-    monkeypatch.setattr(RadicalSum, "sign", counting("sign", sign))
+    monkeypatch.setattr(RadicalSum, "_assign", counting("_assign", RadicalSum._assign))
+    monkeypatch.setattr(RadicalSum, "decimal", counting("decimal", RadicalSum.decimal))
+    monkeypatch.setattr(verify, "_sign", counting("sign", verify._sign))
     for below in (False, True):
         # below: the right digits a are the upper end of (a - 1, a); else the lower of (a, a + 1)
         def adjacent(x, y, d, significant):
@@ -343,7 +344,7 @@ def test_margin_decimal_defers_adjacent_ends_to_the_canonical_decimal(monkeypatc
 
         monkeypatch.setattr(exact, "_round_pair", adjacent)
         assert [r.margin_decimal(50) for r in records] == expected, below
-    assert calls == {"decimal": 0, "sign": 2 * len(records)}
+    assert calls == {"_assign": 0, "decimal": 0, "sign": 2 * len(records)}
 
 
 def _counting_walks(monkeypatch) -> list[int]:
