@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class IdentityMismatch(RuntimeError):
+class IdentityMismatch(ArithmeticError):
     """Two exact computations of the same quantity disagreed."""
 
 

@@ -31,7 +31,6 @@ from json.encoder import encode_basestring_ascii
 from .bounds import _NEEDS_K, BOUND_KINDS, BoundSpec
 from .cf import (
     CFExpansion,
-    IdentityMismatch,
     _value,
     cf_value,
     convergents,
@@ -352,7 +351,7 @@ def _main(argv, out) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (IdentityMismatch, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # cf.IdentityMismatch among them
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
         return 4
     out.write(text)

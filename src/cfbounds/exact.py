@@ -358,15 +358,12 @@ class RadicalSum(_Frozen):
         return obj
 
     def _assign(self, const: int, pairs: list[tuple[int, int]] | tuple, den: int) -> None:
-        if len(pairs) > 1:
+        if pairs:
             acc: dict[int, int] = {}
             for r, n in pairs:
                 acc[r] = acc.get(r, 0) + n
             terms = tuple(sorted((r, n) for r, n in acc.items() if n))
             g = gcd(den, const, *[n for _, n in terms])
-        elif pairs and pairs[0][1]:  # nothing to merge or sort
-            terms = tuple(pairs)
-            g = gcd(den, const, pairs[0][1])
         else:
             terms, g = (), gcd(den, const)
         if g != 1:
@@ -421,13 +418,8 @@ class RadicalSum(_Frozen):
             c, t, d = other.numerator, (), other.denominator
         den = lcm(self.den, d)
         u, v = den // self.den, sign * (den // d)
-        one = _one_radicand(self._t, t)
-        if one:
-            r, n1, n2 = one
-            pairs = [(r, n1 * u + n2 * v)]
-        else:
-            pairs = [(r, n * u) for r, n in self._t]
-            pairs += [(r, n * v) for r, n in t]
+        pairs = [(r, n * u) for r, n in self._t]
+        pairs += [(r, n * v) for r, n in t]
         return RadicalSum._make(self._c * u + c * v, pairs, den)
 
     def __add__(self, other: "RadicalSum | Rational") -> "RadicalSum":
@@ -449,10 +441,6 @@ class RadicalSum(_Frozen):
             f = _rational(other)
             return self._scale(f.numerator, f.denominator)
         c1, c2 = self._c, other._c
-        one = _one_radicand(self._t, other._t)
-        if one:  # (c1 + n1 sqrt(r))(c2 + n2 sqrt(r)): n1 n2 r joins the constant
-            r, n1, n2 = one
-            return RadicalSum._make(c1 * c2 + n1 * n2 * r, [(r, c1 * n2 + c2 * n1)], self.den * other.den)
         const = c1 * c2
         pairs = [(r, n * c2) for r, n in self._t]
         pairs += [(r, n * c1) for r, n in other._t]
@@ -510,20 +498,6 @@ class RadicalSum(_Frozen):
         parts = [str(self.c0)] if self._c or not self._t else []
         parts.extend(f"{c}*sqrt({r})" for c, r in self.terms)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _one_radicand(t1: tuple, t2: tuple) -> tuple[int, int, int] | None:
-    """(r, n1, n2) when the term tuples t1 and t2 hold at most one term each,
-    over one radicand r, with n = 0 for a missing term (and r = 1 when
-    both are empty); else None."""
-    if len(t1) > 1 or len(t2) > 1:
-        return None
-    if not t2:
-        return (*t1[0], 0) if t1 else (1, 0, 0)
-    ((r, n2),) = t2
-    if not t1:
-        return r, 0, n2
-    return (r, t1[0][1], n2) if t1[0][0] == r else None
 
 
 def _decimal(c: int, terms: list[tuple[int, int]] | tuple, den: int, significant: int) -> tuple[int, str]:
@@ -642,10 +616,7 @@ def _pick_split_prime(rads: list[int]) -> int:
     of the first one with any, else rads[0], cut to each proper gcd(b, r),
     so b | r or gcd(b, r) = 1.  For a prime p | b, flipping the terms with
     b | r is then sqrt(p) -> -sqrt(p), an automorphism when no radicand holds
-    p twice: one round clears b (cfbench counts calls by this name as rounds).
-    A lone radicand is returned as it is: flipping it conjugates Q(sqrt(r))."""
-    if len(rads) == 1:
-        return rads[0]
+    p twice: one round clears b (cfbench counts calls by this name as rounds)."""
     b = next((g for g in (gcd(r, _PRIMORIAL) for r in rads) if g > 1), rads[0])
     for r in rads:
         h = gcd(b, r)
@@ -867,17 +838,12 @@ class QuadSurd(_Frozen):
     # -- field arithmetic
 
     def _add(self, other: "QuadSurd | Rational", sign: int) -> "QuadSurd":
-        if isinstance(other, int):  # gcd(a + t c, b, c) = gcd(a, b, c) = 1: canonical
-            return QuadSurd(self.a + sign * other * self.c, self.b, self.c, self.d)
-        if not isinstance(other, QuadSurd):  # p/q: (a q + p c + b q sqrt(d))/(c q)
-            f = _rational(other)
-            p, q = sign * f.numerator, f.denominator
-            return QuadSurd.make(self.a * q + p * self.c, self.b * q, self.c * q, self.d)
-        d, b, ob = self._common_d(other)
+        o = self._coerce(other)
+        d, b, ob = self._common_d(o)
         return QuadSurd.make(
-            self.a * other.c + sign * other.a * self.c,
-            b * other.c + sign * ob * self.c,
-            self.c * other.c,
+            self.a * o.c + sign * o.a * self.c,
+            b * o.c + sign * ob * self.c,
+            self.c * o.c,
             d,
         )
 
@@ -918,13 +884,7 @@ class QuadSurd(_Frozen):
         return QuadSurd.make(o.c * a, o.c * b, self.c * norm, d)
 
     def __rtruediv__(self, other: Rational) -> "QuadSurd":
-        # other*c*(a - b*sqrt(d))/(a^2 - b^2 d), in one make
-        f = _rational(other)
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero surd")
-        m = f.numerator * self.c
-        return QuadSurd.make(m * self.a, -m * self.b, f.denominator * norm, self.d)
+        return QuadSurd.from_rational(other) / self
 
     def __pow__(self, n: int) -> "QuadSurd":
         if n < 0:

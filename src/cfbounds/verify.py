@@ -19,6 +19,7 @@ A row's digits come from the same enclosures, or from the exact path's
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from .bounds import BoundSpec, Outcome, bound_g, g_enclosure
@@ -450,18 +451,19 @@ def check_lemma(inst: LemmaInstance) -> tuple[bool, RadicalSum]:
 
         L0_limit      ((d q^2 + 2) sqrt(d) - d q sqrt(d q^2 + 4))/(2d)
         L1_case1      (d (k + 2) - (d + 1) sqrt(d))/d
-        L2_caseH      v - sqrt(d), v the limit of H below
-        L3_odd_block  v - sqrt(d), v the odd-block limit below
+        L2_caseH      (k^2 + k + sqrt(k^2 + 6k + 5) - (k + 1) sqrt(d))/(k + 1)
+        L3_odd_block  (k^3 + 2k + 2 - k^2 sqrt(d))/(2k^2)
         L4_AB_margin  (k^4 + 3k^2 + 1 - (k^3 + k) sqrt(d))/(k^3 + k)
         R1..R5        (d w (aY - b q1 d) + (d w (bY - a q1) - N) sqrt(d))/(d N)
 
     For R, the factor is a + b sqrt(d), w its weight, Y = k q1 + 2 q0 and
     N = Y^2 - q1^2 d = -4 (q1^2 - k q1 q0 - q0^2), nonzero for q1 >= 1.
-    The checks that tie the closed forms to the paper's constructions still
-    run: L2's and L3's v are built from continued fractions and compared
-    with their closed forms as canonical QuadSurds, and L4's margin with its
-    pre-squared display num/(s + sqrt(d)) through :meth:`RadicalSum.inverse`;
-    a mismatch raises ArithmeticError (the CLI's exit 4).  The sign is
+    L2's and L3's margins are the limits of H and of the odd block minus
+    sqrt(d), and L4's is its pre-squared display num/(s + sqrt(d)); that
+    these closed forms equal the paper's constructions is an identity in k,
+    proved for every k once per process by :func:`_certify_closed_forms`
+    on the first L2, L3 or L4 instance, whose mismatch raises
+    ArithmeticError (the CLI's exit 4).  The sign is
     :func:`_sign` of :func:`_lemma_row`'s integers; the CLI reads each row's
     sign and digits off one :func:`exact._decimal` of them instead.
 
@@ -489,7 +491,9 @@ def _lemma_row(lemma: str, k: int, params: dict) -> tuple[bool, int, list[tuple[
     """(gated, c, terms, den) of lemma at k: whether L4's A/B parameters
     failed their gate, and the unsigned margin (c + sum n*sqrt(r))/den, not
     made canonical; the instance holds when the margin is positive and it
-    is not gated.  Its arguments are trusted to be what
+    is not gated.  Margins are integers of k and the parameters (no
+    QuadSurd, RadicalSum or Fraction but L4's A/B gate); L2, L3 and L4 rest
+    on :func:`_certify_closed_forms`.  Its arguments are trusted to be what
     :func:`check_lemma` validates: a lemma of :data:`LEMMA_IDS`, an integer
     k that it admits, and well-typed parameters (R's depth below 1 still
     raises ValueError)."""
@@ -505,29 +509,18 @@ def _lemma_row(lemma: str, k: int, params: dict) -> tuple[bool, int, list[tuple[
         margin = d * (k + 2), [(d, -(d + 1))], d
     elif lemma == "L2_caseH":
         # k + 1 + 2*[0;(k+1,1)] = (k^2 + k + sqrt(k^2+6k+5))/(k+1) > sqrt(d)
-        v = 2 / _purely_periodic_value((k + 1, 1)) + (k + 1)
-        if v != QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5):
-            raise ArithmeticError("closed form for the limit of H does not match")
-        margin = v.a, [(v.d, v.b), (d, -v.c)], v.c
+        _certify_closed_forms()
+        margin = k * k + k, [(k * k + 6 * k + 5, 1), (d, -(k + 1))], k + 1
     elif lemma == "L3_odd_block":
         # k + [0; k-1, k+1] + [0;(k)] = (k^3 + 2k + 2 + k^2 sqrt(d))/(2k^2) > sqrt(d)
-        v = alpha1(k) + k + Fraction(k + 1, k * k)
-        if v != QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d):
-            raise ArithmeticError("closed form for the odd-block limit does not match")
-        # over v's one radicand: sqrt(d) = s sqrt(v.d)
-        s = square_free_split(d)[0]
-        margin = v.a, [(v.d, v.b - s * v.c)], v.c
+        _certify_closed_forms()
+        margin = k**3 + 2 * k + 2, [(d, -k * k)], 2 * k * k
     elif lemma == "L4_AB_margin":
         # num/(s + sqrt(d)) = s - sqrt(d) > 0 for s = k + 1/k + 1/(k + 1/k)
-        # = (k^4 + 3k^2 + 1)/(k^3 + k) and num = 1/k^2 + 1/(k + 1/k)^2
-        # = ((k^2 + 1)^2 + k^4)/(k^3 + k)^2; with s and num the numerators
-        # over sd = k^3 + k and sd^2, the display is 1/((s sd + sd^2 sqrt(d))/num)
-        e = k * k + 1
-        s, sd = k**4 + 3 * k * k + 1, k * e
-        displayed = _radical(s * sd, [(d, sd * sd)], e * e + k**4).inverse()
-        margin = s, [(d, -sd)], sd
-        if (displayed - _radical(*margin)).sign() != 0:
-            raise ArithmeticError("pre-squared margin display does not match")
+        # = (k^4 + 3k^2 + 1)/(k^3 + k), num = 1/k^2 + 1/(k + 1/k)^2
+        _certify_closed_forms()
+        sd = k * (k * k + 1)
+        margin = k**4 + 3 * k * k + 1, [(d, -sd)], sd
         gated = any(b + 1 / (k + b) <= Fraction(1, k) + 1 / (k + Fraction(1, k))
                     for b in (Fraction(params[n]) for n in ("A", "B") if n in params))
     else:
@@ -553,6 +546,47 @@ def _lemma_row(lemma: str, k: int, params: dict) -> tuple[bool, int, list[tuple[
         margin = dw * (a * y - b * q1 * d), [(d, dw * (b * y - a * q1) - n)], d * n
 
     return (gated, *margin)
+
+
+@cache
+def _certify_closed_forms() -> None:
+    """Prove that L2's, L3's and L4's closed forms in :func:`_lemma_row`
+    (L4's margin, and L2's and L3's minus sqrt(d)) equal the paper's
+    constructions at every k >= 1, else raise ArithmeticError (exit 4).
+    ``cache`` keeps a success, not an exception: this runs on the first L2,
+    L3 or L4 row of a process, and never at import.
+
+    With d = k^2 + 4, D = (k + 1)(k + 5), s = k^4 + 3k^2 + 1, sd = k^3 + k
+    and num = (k^2 + 1)^2 + k^4, it compares exactly at k = 1..16
+    L2: 2/t + k + 1, t = [(k + 1, 1)], with (k^2 + k + sqrt(D))/(k + 1);
+    L3: alpha1(k) + k + (k + 1)/k^2 with (k^3 + 2k + 2 + k^2 sqrt(d))/(2k^2);
+    L4: the display num/(s sd + sd^2 sqrt(d)), by :meth:`RadicalSum.inverse`,
+    with (s - sd sqrt(d))/sd.  Each difference, times a factor positive for
+    k >= 1, is P(k) + Q(k) sqrt(R) with integer polynomials P and Q:
+    L2: the two digits' Moebius product makes t = (k + 1 + sqrt(D))/2, and
+    the factor (k + 1)(k + 1 + sqrt(D)) gives R = D, P = 4(k + 1) +
+    (k + 1)^3 - (k^2 + k)(k + 1) - D (degree 3), Q = (k + 1)^2 - (k^2 + k) -
+    (k + 1) (degree 2); L3: alpha1(k) = (sqrt(d) - k)/2, and the factor 2k^2
+    gives R = d, P = k^3 + 2k + 2 - (k^3 + 2k + 2) (degree 3), Q = k^2 - k^2
+    (degree 2); L4: the factor s sd + sd^2 sqrt(d) gives num - (s - sd
+    sqrt(d))(s + sd sqrt(d)), so P = num - s^2 + sd^2 d (degree 8), Q = 0.
+    sqrt(d) and sqrt(D) are irrational (d = 5 at k = 1, k^2 < d < (k + 1)^2
+    for k >= 2, and (k + 2)^2 < D < (k + 3)^2), so a difference vanishes at
+    k exactly when P(k) = Q(k) = 0.  16 roots exceed every degree (at most
+    8), so P = Q = 0 and each identity holds at every k >= 1.
+    """
+    for k in range(1, 17):
+        d, e = k * k + 4, k * k + 1
+        v = 2 / _purely_periodic_value((k + 1, 1)) + (k + 1)
+        if v != QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5):
+            raise ArithmeticError("closed form for the limit of H does not match")
+        v = alpha1(k) + k + Fraction(k + 1, k * k)
+        if v != QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d):
+            raise ArithmeticError("closed form for the odd-block limit does not match")
+        s, sd = k**4 + 3 * k * k + 1, k * e
+        displayed = _radical(s * sd, [(d, sd * sd)], e * e + k**4).inverse()
+        if (displayed - _radical(s, [(d, -sd)], sd)).sign() != 0:
+            raise ArithmeticError("pre-squared margin display does not match")
 
 
 def f_monotone_check(k: int, samples: int) -> bool:

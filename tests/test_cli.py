@@ -231,6 +231,45 @@ def test_exit_4_on_failed_internal_check(monkeypatch, capsys, target, argv, exc)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _off_by_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def _raising(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize(
+    "owner, name, make, code, message",
+    [
+        (verify, "_purely_periodic_value", _off_by_one, 4, "closed form for the limit of H does not match"),
+        (verify, "_purely_periodic_value", lambda fn: _raising(IdentityMismatch("periodic tail")), 4,
+         "periodic tail"),
+        (verify, "alpha1", _off_by_one, 4, "closed form for the odd-block limit does not match"),
+        (RadicalSum, "inverse", _off_by_one, 4, "pre-squared margin display does not match"),
+        # ZeroDivisionError is an ArithmeticError too, but exits 3
+        (RadicalSum, "inverse", lambda fn: _raising(ZeroDivisionError("division by zero")), 3,
+         "division by zero"),
+    ],
+)
+def test_closed_form_certification_failure_exits_nonzero(monkeypatch, capsys, owner, name, make, code,
+                                                         message):
+    # L2's, L3's and L4's closed forms are certified once per process, and
+    # a success is cached: clear it so this command certifies, and after,
+    # so that no later command skips the certification
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    verify._certify_closed_forms.cache_clear()
+    try:
+        got, out = run_cli(["lemmas", "--k-range", "1..3"])
+    finally:
+        verify._certify_closed_forms.cache_clear()
+    assert (got, out) == (code, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
+
+
 def test_exit_4_when_decimal_endpoints_round_apart(monkeypatch, capsys):
     # endpoints more than one digit apart would mean the precision bound broke
     round_pair = exact._round_pair

@@ -2,7 +2,8 @@
 
 The benchmark's golden copy runs only refined_f and hancl_nair; this pins
 the exit code and the SHA-256 of stdout for a fixed matrix of commands over
-every bound kind, in both formats, plus classify-equality and classical.
+every bound kind, in both formats, plus classify-equality, classical and
+lemmas.
 The digests live in tests/data/cli_digests.json.  When output is meant to
 change, rewrite them with
 
@@ -44,6 +45,10 @@ OTHERS = [
     "classical surd:(1+1*sqrt(5))/2 --rule borel_triples --n 60",
     "classical surd:(1+1*sqrt(5))/2 --rule hancl_nair_triples --n 60",
     "classical surd:(3+2*sqrt(7))/5 --rule hancl_nair_triples --n 60",
+    "lemmas --k-range 1..300 --depth 1",
+    "lemmas --k-range 1..300 --depth 2",
+    "lemmas --k-range 990..1010 --depth 7",
+    "lemmas --k-range 1..3 --depth 77",
 ]
 
 

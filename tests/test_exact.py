@@ -206,7 +206,7 @@ def test_inverse_takes_at_most_one_round_per_prime(c, terms):
     st.sampled_from([1, 10007, 10009, 1000003]),
 )
 def test_inverse_of_one_radical_is_its_conjugate_in_one_round(c, n, m, p):
-    # a lone radicand is its own split element, also when it hides a square
+    # a lone radicand is cleared in one round, also when it hides a square
     # p*p with p > 10^4 that square_free_split cannot see
     r = p * p * m
     norm = c * c - n * n * r

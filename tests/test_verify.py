@@ -777,6 +777,52 @@ def test_L0_margin_equals_f_value_route(q):
         assert holds and margin == _L_margin_by_fractions("L0_limit", k, q), k
 
 
+def test_L_closed_forms_agree_with_the_per_k_checks():
+    # the checks a row once ran at its own k: each construction equals its
+    # closed form, and the margin _lemma_row writes is that form minus sqrt(d)
+    for k in range(1, 1001):
+        d, e = k * k + 4, k * k + 1
+        rows = {lemma: verify._lemma_row(lemma, k, {})
+                for lemma in ("L2_caseH", "L3_odd_block", "L4_AB_margin")}
+        assert not any(row[0] for row in rows.values())
+        v = 2 / _purely_periodic_value((k + 1, 1)) + (k + 1)
+        assert v == QuadSurd.make(k * k + k, 1, k + 1, k * k + 6 * k + 5), k
+        assert exact._radical(*rows["L2_caseH"][1:]) == v.to_radical() - RadicalSum.sqrt(d), k
+        v = alpha1(k) + k + Fraction(k + 1, k * k)
+        assert v == QuadSurd.make(k**3 + 2 * k + 2, k * k, 2 * k * k, d), k
+        assert exact._radical(*rows["L3_odd_block"][1:]) == v.to_radical() - RadicalSum.sqrt(d), k
+        s, sd = k**4 + 3 * k * k + 1, k * e
+        displayed = exact._radical(s * sd, [(d, sd * sd)], e * e + k**4).inverse()
+        assert (displayed - exact._radical(*rows["L4_AB_margin"][1:])).sign() == 0, k
+
+
+def test_closed_forms_are_certified_once_per_process(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RadicalSum, "inverse", counted("inverse", RadicalSum.inverse))
+    # RadicalSum's constructor and _make both fill the fields through _assign
+    monkeypatch.setattr(RadicalSum, "_assign", counted("RadicalSum", RadicalSum._assign))
+    monkeypatch.setattr(QuadSurd, "__init__", counted("QuadSurd", QuadSurd.__init__))
+
+    def lemmas():
+        buf = io.StringIO()
+        assert main(["lemmas", "--k-range", "1..50", "--depth", "3"], out=buf) == 1
+        return buf.getvalue()
+
+    verify._certify_closed_forms.cache_clear()  # an earlier test may have certified
+    first = lemmas()
+    assert calls["inverse"] == 16  # L4's display at k = 1..16
+    calls.clear()
+    assert lemmas() == first
+    assert calls == Counter()
+
+
 @pytest.mark.parametrize(
     "lemma, params",
     [
